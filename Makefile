@@ -65,7 +65,7 @@ lint-check:
 # Native fuzzing against the property-suite generators (DESIGN.md §3f).
 # The seed corpus lives in internal/proptest/testdata/fuzz/; 30 seconds per
 # target is enough to replay it and mutate a few hundred thousand inputs.
-# Go allows one -fuzz pattern per invocation, hence four runs.
+# Go allows one -fuzz pattern per invocation, hence one run per target.
 FUZZTIME ?= 30s
 fuzz-short:
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzBackwardSchedules$$' -fuzztime $(FUZZTIME)
@@ -73,6 +73,7 @@ fuzz-short:
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzSPMResidency$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzCompiledEngine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzResolvedReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/proptest/ -run '^$$' -fuzz '^FuzzBasisGather$$' -fuzztime $(FUZZTIME)
 
 # Design-space exploration gate (DESIGN.md §3h): internal/dse's unit and
 # property tests, then an end-to-end CLI check that a pruned sweep's

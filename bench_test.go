@@ -258,6 +258,33 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkTuneColdShape times the tuner's cold path: BestOrderSimulated
+// on one ResNet-50 layer on the large NPU with every cache reset per
+// iteration, so each iteration lowers the shape's op basis, gathers every
+// candidate family from it and resolves each candidate once.
+func BenchmarkTuneColdShape(b *testing.B) {
+	cfg := config.LargeNPU()
+	var p schedule.TileParams
+	for _, lp := range core.PlanModel(cfg, workload.ResNet50()) {
+		if lp.Layer.Name == "conv2_1_3x3" {
+			p = lp.Params
+		}
+	}
+	if p.OpCount() == 0 {
+		b.Fatal("ResNet-50 has no conv2_1_3x3 layer")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		core.ResetCaches()
+		b.StartTimer()
+		core.BestOrderSimulated(cfg, p)
+	}
+	b.StopTimer()
+	core.ResetCaches()
+}
+
 func BenchmarkChooseTiling(b *testing.B) {
 	cfg := config.LargeNPU()
 	d := tensor.Dims{M: 25088, K: 576, N: 64}

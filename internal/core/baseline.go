@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"igosim/internal/config"
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
@@ -10,32 +12,12 @@ import (
 
 // The evaluation baseline "includes relevant prior DNN scheduling
 // techniques" (Section 6.1): a production scheduler explores loop orders
-// and multi-level tilings per GEMM and keeps the fastest. We reproduce
-// that by simulating four candidate schedules for each gradient GEMM in
-// isolation — the two reduction-inner loop orders plus the two chunked
-// partial-stationary orders of the multi-level tiling studies — and
-// caching the winner per (configuration, layer shape).
-
-// dxCandidate / dwCandidate index the baseline schedule candidates.
-type dxCandidate uint8
-
-const (
-	dxMK       dxCandidate = iota // m outer, k middle, reduction inner
-	dxKM                          // k outer, m middle, reduction inner
-	dxRowChunk                    // row-chunked partial-stationary
-	dxColChunk                    // column-chunked partial-stationary
-	numDXCandidates
-)
-
-type dwCandidate uint8
-
-const (
-	dwKN       dwCandidate = iota // k outer, n middle, reduction inner
-	dwNK                          // n outer, k middle, reduction inner
-	dwRowChunk                    // row-chunked partial-stationary (over K)
-	dwColChunk                    // column-chunked partial-stationary (over N)
-	numDWCandidates
-)
+// per GEMM and keeps the fastest. We reproduce that by simulating the two
+// reduction-inner loop orders of each gradient GEMM in isolation and
+// caching the winner per (configuration, layer shape). Candidates are
+// walks (schedule.Walk): the tuners price them as programs gathered from
+// the shape's compiled op basis, and the emitters materialize the same
+// walks as schedules.
 
 // ordersKey keys the per-shape tuning caches: the hardware fingerprint
 // (with Cores pinned to 1, since tuning always simulates a single core)
@@ -53,8 +35,8 @@ type ordersKey struct {
 var ordersCache = runner.NewCache[ordersKey, ordersVal]("core/baseline-tune")
 
 type ordersVal struct {
-	dx dxCandidate
-	dw dwCandidate
+	dx schedule.DXLoopOrder
+	dw schedule.DWLoopOrder
 	// block is the fusion granularity (ops per stream per turn); only the
 	// interleave cache uses it.
 	block int
@@ -68,99 +50,42 @@ func keyFor(cfg config.NPU, p schedule.TileParams) ordersKey {
 	}
 }
 
-// baselineChunkShare is the fraction of the SPM streaming half a baseline
-// partial-stationary chunk may occupy (the rest carries operand bands).
-const baselineChunkShare = 0.5
-
-func chunkFor(spmBytes int64, perUnitBytes int64) int {
-	if perUnitBytes <= 0 {
-		return 1
-	}
-	share := int64(float64(spmBytes/2) * baselineChunkShare)
-	c := int(share / perUnitBytes)
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// baselineDXOps emits the dX candidate schedule.
-func baselineDXOps(cfg config.NPU, p schedule.TileParams, c dxCandidate) []schedule.Op {
-	e := int64(cfg.ElemBytes)
-	switch c {
-	case dxKM:
-		return schedule.BaselineDXOrdered(p, schedule.DXOrderKM)
-	case dxRowChunk:
-		perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * e
-		return schedule.PartialStationaryDX(p, chunkFor(cfg.SPMBytes, perRow))
-	case dxColChunk:
-		perCol := int64(p.Dims.M) * int64(p.Tiling.Tk) * e
-		return schedule.PartialStationaryDXCols(p, chunkFor(cfg.SPMBytes, perCol))
-	default:
-		return schedule.BaselineDXOrdered(p, schedule.DXOrderMK)
-	}
-}
-
-// baselineDWOps emits the dW candidate schedule.
-func baselineDWOps(cfg config.NPU, p schedule.TileParams, c dwCandidate) []schedule.Op {
-	e := int64(cfg.ElemBytes)
-	switch c {
-	case dwNK:
-		return schedule.BaselineDWOrdered(p, schedule.DWOrderNK)
-	case dwRowChunk:
-		perRow := int64(p.Tiling.Tk) * int64(p.Dims.N) * e
-		return schedule.PartialStationaryDW(p, chunkFor(cfg.SPMBytes, perRow))
-	case dwColChunk:
-		perCol := int64(p.Dims.K) * int64(p.Tiling.Tn) * e
-		return schedule.PartialStationaryDWCols(p, chunkFor(cfg.SPMBytes, perCol))
-	default:
-		return schedule.BaselineDWOrdered(p, schedule.DWOrderKN)
-	}
-}
-
-// baselineChoices returns the tuned candidate for each gradient GEMM,
+// baselineChoices returns the tuned loop order of each gradient GEMM,
 // choosing each GEMM's fastest schedule by simulation. Tuning always runs
 // without study-specific engine options so every study compares against the
 // same baseline schedule.
+//
+// The baseline explores the two reduction-inner loop orders per GEMM:
+// conventional accelerators (TPUv3 + XLA) accumulate each output tile's
+// reduction inside the PE array, so cross-tile partial-stationary orders
+// (which park partial sums in the SPM) are not part of the baseline space —
+// those appear only through the paper's transformations.
 func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 	return ordersCache.GetOrCompute(keyFor(cfg, p), func() ordersVal {
 		single := cfg
 		single.Cores = 1
-		// Candidates are emitted from the canonical shape so their retained
+		// Candidates are built from the canonical shape so their retained
 		// programs are shared; cycle outcomes are renaming-invariant.
 		np := tuneParams(p)
-
-		// The baseline explores the two reduction-inner loop orders per GEMM:
-		// conventional accelerators (TPUv3 + XLA) accumulate each output tile's
-		// reduction inside the PE array, so cross-tile partial-stationary
-		// orders (which park partial sums in the SPM) are not part of the
-		// baseline space — those appear only through the paper's
-		// transformations.
 		pn := baselinePanel(single, np)
+		t := tuner{single: single, np: np}
 		var v ordersVal
-		best := int64(-1)
-		for _, c := range []dxCandidate{dxMK, dxKM} {
-			cyc := tuneCycles(single, pn.dxProg(c), func() schedule.Schedule {
-				return schedule.Schedule{Ops: baselineDXOps(single, np, c)}
-			})
-			if best < 0 || cyc < best {
-				best = cyc
-				v.dx = c
-			}
-		}
-		best = -1
-		for _, c := range []dwCandidate{dwKN, dwNK} {
-			cyc := tuneCycles(single, pn.dwProg(c), func() schedule.Schedule {
-				return schedule.Schedule{Ops: baselineDWOps(single, np, c)}
-			})
-			if best < 0 || cyc < best {
-				best = cyc
-				v.dw = c
-			}
-		}
+		v.dx = dxOrders[t.best(len(dxOrders), pn.dxProg, func(i int) schedule.Walk {
+			return schedule.BaselineDXWalk(dxOrders[i])
+		})]
+		v.dw = dwOrders[t.best(len(dwOrders), pn.dwProg, func(i int) schedule.Walk {
+			return schedule.BaselineDWWalk(dwOrders[i])
+		})]
 		return v
 	})
 }
+
+// dxOrders / dwOrders are the baseline tuner's candidates, in exploration
+// order (ties keep the earlier one).
+var (
+	dxOrders = []schedule.DXLoopOrder{schedule.DXOrderMK, schedule.DXOrderKM}
+	dwOrders = []schedule.DWLoopOrder{schedule.DWOrderKN, schedule.DWOrderNK}
+)
 
 // TunedBaselineKernels emits the two schedule-tuned gradient kernels of the
 // conventional sequential backward pass: the baseline every evaluation
@@ -168,17 +93,34 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 // flushed between them (Figure 8a), which is why the baseline streams dY
 // from DRAM twice.
 func TunedBaselineKernels(cfg config.NPU, p schedule.TileParams) (dxK, dwK schedule.Schedule) {
-	v := baselineChoices(cfg, p)
-	dxK = schedule.Schedule{Name: "baseline-dX", Ops: baselineDXOps(cfg, p, v.dx)}
-	dwK = schedule.Schedule{Name: "baseline-dW", Ops: baselineDWOps(cfg, p, v.dw)}
-	return dxK, dwK
+	ks := baselineWalks(baselineChoices(cfg, p))
+	return ks[0].emit(p), ks[1].emit(p)
 }
 
 // TunedDWOnly emits the schedule-tuned dW-only pass used for the network's
 // first layer (no dX needed).
 func TunedDWOnly(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	v := baselineChoices(cfg, p)
-	return schedule.Schedule{Name: "dW-only", Ops: baselineDWOps(cfg, p, v.dw)}
+	return dwOnlyWalk(baselineChoices(cfg, p)).emit(p)
+}
+
+// kernelWalk is one kernel of a backward pass as a named walk.
+type kernelWalk struct {
+	name string
+	w    schedule.Walk
+}
+
+// emit materializes the kernel over p's grid.
+func (k kernelWalk) emit(p schedule.TileParams) schedule.Schedule { return p.Schedule(k.name, k.w) }
+
+func baselineWalks(v ordersVal) []kernelWalk {
+	return []kernelWalk{
+		{"baseline-dX", schedule.BaselineDXWalk(v.dx)},
+		{"baseline-dW", schedule.BaselineDWWalk(v.dw)},
+	}
+}
+
+func dwOnlyWalk(v ordersVal) kernelWalk {
+	return kernelWalk{"dW-only", schedule.BaselineDWWalk(v.dw)}
 }
 
 // ilvCache holds the jointly tuned order pair for the fused stream.
@@ -189,6 +131,42 @@ var ilvCache = runner.NewCache[ordersKey, ordersVal]("core/interleave-tune")
 // shorten the dY reuse distance; coarser blocks reduce working-set
 // interference between the two streams.
 var interleaveBlocks = []int{1, 16, 128}
+
+// mergeCandidates lists the joint tuner's valid (dX order, dW order,
+// granularity) combinations for np in exploration order, so ties break
+// identically whichever way the candidates are priced. A block at least as
+// long as a stream degenerates to the sequential baseline — the fusion
+// must actually alternate — so only the granularities below the stream
+// length (and always 1) are valid; interleaveBlocks ascends, so those are
+// a prefix and each list is a shared table.
+func mergeCandidates(np schedule.TileParams) []ordersVal {
+	n := 1
+	for n < len(interleaveBlocks) && interleaveBlocks[n] < np.OpCount() {
+		n++
+	}
+	return mergeTables[n]
+}
+
+// mergeTables[n] lists the combinations over the first n granularities.
+var mergeTables = func() [][]ordersVal {
+	ts := make([][]ordersVal, len(interleaveBlocks)+1)
+	for n := 1; n < len(ts); n++ {
+		for _, dc := range dxOrders {
+			for _, wc := range dwOrders {
+				for _, blk := range interleaveBlocks[:n] {
+					ts[n] = append(ts[n], ordersVal{dx: dc, dw: wc, block: blk})
+				}
+			}
+		}
+	}
+	return ts
+}()
+
+// mergeWalk fuses the two gradient streams in v's loop orders, v.block ops
+// per stream per turn.
+func mergeWalk(v ordersVal) schedule.Walk {
+	return schedule.Merge(schedule.BaselineDXWalk(v.dx), schedule.BaselineDWWalk(v.dw), v.block)
+}
 
 // interleaveChoices picks the per-stream access orders and the fusion
 // granularity of the *fused* schedule jointly: fusing the two gradient
@@ -201,94 +179,100 @@ func interleaveChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		single := cfg
 		single.Cores = 1
 		np := tuneParams(p)
-		var v ordersVal
-		best := int64(-1)
 		// On a bandwidth sweep the candidate panel is already retained, so
 		// this loop is pure replays of shared programs (DESIGN.md §3l).
-		if set := mergePanel(single, np); set != nil {
-			for i := range set {
-				cyc := sim.RunProgram(single, sim.Options{}, set[i].prog).Cycles
-				if best < 0 || cyc < best {
-					best = cyc
-					v = set[i].v
-				}
-			}
-			return v
-		}
-		// Interpreter fallback: emit each combination in the same order the
-		// panel lists them, so ties break identically across executors.
-		dxLen := np.OpCount()
-		for _, dc := range []dxCandidate{dxMK, dxKM} {
-			for _, wc := range []dwCandidate{dwKN, dwNK} {
-				for _, blk := range interleaveBlocks {
-					// A block at least as long as a stream degenerates to the
-					// sequential baseline; the fusion must actually alternate.
-					if blk > 1 && blk >= dxLen {
-						continue
-					}
-					cyc := tuneCycles(single, nil, func() schedule.Schedule {
-						return schedule.Schedule{Ops: mergeStreams(
-							baselineDXOps(single, np, dc),
-							baselineDWOps(single, np, wc), blk)}
-					})
-					if best < 0 || cyc < best {
-						best = cyc
-						v = ordersVal{dx: dc, dw: wc, block: blk}
-					}
-				}
-			}
-		}
-		return v
+		set := mergePanel(single, np)
+		vs := mergeCandidates(np)
+		t := tuner{single: single, np: np}
+		return vs[t.best(len(vs), func(i int) *schedule.Program { return set.progFor(vs[i]) }, func(i int) schedule.Walk {
+			return mergeWalk(vs[i])
+		})]
 	})
 }
 
-// mergeStreams alternates the two gradient streams at tile-op granularity,
-// `block` ops per stream per turn.
-func mergeStreams(dx, dw []schedule.Op, block int) []schedule.Op {
-	if block < 1 {
-		block = 1
-	}
-	ops := make([]schedule.Op, 0, len(dx)+len(dw))
-	for i := 0; i < len(dx) || i < len(dw); i += block {
-		if i < len(dx) {
-			ops = append(ops, dx[i:min(i+block, len(dx))]...)
-		}
-		if i < len(dw) {
-			ops = append(ops, dw[i:min(i+block, len(dw))]...)
-		}
-	}
-	return ops
+// TunedInterleave emits the interleave-only schedule: the gradient streams
+// fused at tile-op granularity (Section 4.2), each keeping a traditional
+// access order, with the pair and the granularity chosen jointly for the
+// fusion.
+func TunedInterleave(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
+	return interleaveWalk(interleaveChoices(cfg, p)).emit(p)
 }
 
-// TunedInterleave emits the interleave-only schedule: the gradient streams
-// fused 1:1 at tile-op granularity (Section 4.2), each keeping a
-// traditional access order, with the pair chosen jointly for the fusion.
-func TunedInterleave(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	v := interleaveChoices(cfg, p)
-	dx := baselineDXOps(cfg, p, v.dx)
-	dw := baselineDWOps(cfg, p, v.dw)
-	return schedule.Schedule{Name: "interleave", Ops: mergeStreams(dx, dw, v.block)}
-}
+func interleaveWalk(v ordersVal) kernelWalk { return kernelWalk{"interleave", mergeWalk(v)} }
 
 // fusedChunkShare is the fraction of the SPM streaming half granted to the
 // completing output's live partials in the chunked major orders; the
 // carried output's partials and the operand bands use the rest.
 const fusedChunkShare = 0.25
 
+// fusedChunk sizes a chunked major order: how many perUnit-byte bands of
+// the completing output fit its share of the streaming half.
+func fusedChunk(cfg config.NPU, perUnit int64) int {
+	share := int64(float64(cfg.SPMBytes/2) * fusedChunkShare)
+	return int(share / max(perUnit, 1))
+}
+
+// dxMajorWalk is the chunked dXmajor order sized for cfg.
+func dxMajorWalk(cfg config.NPU, p schedule.TileParams) kernelWalk {
+	perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * int64(cfg.ElemBytes)
+	return kernelWalk{"interleave+dXmajor", DXMajorWalk(fusedChunk(cfg, perRow))}
+}
+
+// dwMajorWalk is the chunked dWmajor order sized for cfg.
+func dwMajorWalk(cfg config.NPU, p schedule.TileParams) kernelWalk {
+	perCol := int64(p.Dims.K) * int64(p.Tiling.Tn) * int64(cfg.ElemBytes)
+	return kernelWalk{"interleave+dWmajor", DWMajorWalk(fusedChunk(cfg, perCol))}
+}
+
 // FusedDXMajor emits the chunked dXmajor schedule sized for cfg.
 func FusedDXMajor(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * int64(cfg.ElemBytes)
-	share := int64(float64(cfg.SPMBytes/2) * fusedChunkShare)
-	chunk := int(share / max(perRow, 1))
-	return InterleaveDXMajorChunked(p, chunk)
+	return dxMajorWalk(cfg, p).emit(p)
 }
 
 // FusedDWMajor emits the chunked dWmajor schedule sized for cfg.
 func FusedDWMajor(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	perCol := int64(p.Dims.K) * int64(p.Tiling.Tn) * int64(cfg.ElemBytes)
-	share := int64(float64(cfg.SPMBytes/2) * fusedChunkShare)
-	chunk := int(share / max(perCol, 1))
-	return InterleaveDWMajorChunked(p, chunk)
+	return dwMajorWalk(cfg, p).emit(p)
+}
+
+// rearrangedWalk is the rearranged kernel for an explicit order: a chunked
+// major order, or the tuned fusion for OnlyInterleave.
+func rearrangedWalk(cfg config.NPU, p schedule.TileParams, o Order) (kernelWalk, Order) {
+	switch o {
+	case DXMajor:
+		return dxMajorWalk(cfg, p), o
+	case DWMajor:
+		return dwMajorWalk(cfg, p), o
+	default:
+		return interleaveWalk(interleaveChoices(cfg, p)), OnlyInterleave
+	}
+}
+
+// Candidate is one tuner candidate: a named walk over a shape's grid.
+type Candidate struct {
+	Name string
+	Walk schedule.Walk
+}
+
+// TunerCandidates lists every candidate the tuners price for p under cfg,
+// family by family in exploration order: the baseline dX and dW loop
+// orders, the fusion combinations, and the two chunked majors. The
+// property suite holds the programs gathered along these walks to the
+// emitted schedules.
+func TunerCandidates(cfg config.NPU, p schedule.TileParams) []Candidate {
+	var cs []Candidate
+	for _, o := range dxOrders {
+		cs = append(cs, Candidate{fmt.Sprintf("baseline-dX/%d", o), schedule.BaselineDXWalk(o)})
+	}
+	for _, o := range dwOrders {
+		cs = append(cs, Candidate{fmt.Sprintf("baseline-dW/%d", o), schedule.BaselineDWWalk(o)})
+	}
+	for _, v := range mergeCandidates(p) {
+		cs = append(cs, Candidate{fmt.Sprintf("interleave/%d-%d-%d", v.dx, v.dw, v.block), mergeWalk(v)})
+	}
+	for _, k := range []kernelWalk{dxMajorWalk(cfg, p), dwMajorWalk(cfg, p)} {
+		cs = append(cs, Candidate{k.name, k.w})
+	}
+	return cs
 }
 
 // reCache holds the simulated-best access order per layer.
@@ -304,25 +288,64 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 		single := cfg
 		single.Cores = 1
 		np := tuneParams(p)
-		best := OnlyInterleave
 		// The interleave candidate is exactly the joint tuner's winning
 		// merge, so its retained program (and thus its resolved trace) is
 		// shared with the tuner's exploration above.
 		v := interleaveChoices(single, np)
-		bestCycles := tuneCycles(single, mergePanel(single, np).progFor(v), func() schedule.Schedule {
-			return TunedInterleave(single, np)
-		})
 		mj := majorPanelFor(single, np)
-		if cyc := tuneCycles(single, mj.dxMajorProg(), func() schedule.Schedule {
-			return FusedDXMajor(single, np)
-		}); cyc < bestCycles {
-			best, bestCycles = DXMajor, cyc
-		}
-		if cyc := tuneCycles(single, mj.dwMajorProg(), func() schedule.Schedule {
-			return FusedDWMajor(single, np)
-		}); cyc < bestCycles {
-			best = DWMajor
-		}
-		return best
+		progs := [...]*schedule.Program{mergePanel(single, np).progFor(v), mj.dxMajorProg(), mj.dwMajorProg()}
+		t := tuner{single: single, np: np}
+		orders := Orders()
+		return orders[t.best(len(orders), func(i int) *schedule.Program { return progs[i] }, func(i int) schedule.Walk {
+			k, _ := rearrangedWalk(single, np, orders[i])
+			return k.w
+		})]
 	})
+}
+
+// tuner prices one tuner call's candidates over the canonical shape np.
+type tuner struct {
+	single config.NPU
+	np     schedule.TileParams
+	// basis and prog serve large shapes, whose candidates have no retained
+	// panel: one transient basis per tuner call, built on the first
+	// gather, each candidate gathered into the same buffer and run once.
+	basis *schedule.Basis
+	prog  *schedule.Program
+}
+
+// best prices candidates 0..n-1 and returns the index of the fastest (the
+// first on ties). prog returns candidate i's retained panel program, nil
+// when the shape has no panel; walk returns its walk, and is only called
+// for candidates without a panel program.
+func (t *tuner) best(n int, prog func(i int) *schedule.Program, walk func(i int) schedule.Walk) int {
+	besti, best := 0, int64(-1)
+	for i := 0; i < n; i++ {
+		if cyc := t.cycles(prog(i), walk, i); best < 0 || cyc < best {
+			besti, best = i, cyc
+		}
+	}
+	return besti
+}
+
+// cycles simulates candidate i and returns its makespan: the retained
+// panel program through RunProgram's two-phase path; a program gathered
+// from the transient basis on the one-shot engine when the shape has no
+// panel; or, when the interpreter is the resolved executor, the emitted
+// schedule. All three are bit-identical (the engine-equivalence and
+// basis-gather property suites hold this), so which one runs never changes
+// a tuner's choice.
+func (t *tuner) cycles(prog *schedule.Program, walk func(i int) schedule.Walk, i int) int64 {
+	opts := sim.Options{}
+	switch {
+	case !opts.CompiledResolved():
+		return sim.RunSchedules(t.single, opts, t.np.Schedule("", walk(i))).Cycles
+	case prog != nil:
+		return sim.RunProgram(t.single, opts, prog).Cycles
+	}
+	if t.basis == nil {
+		t.basis, t.prog = schedule.NewBasis(t.np), &schedule.Program{}
+	}
+	schedule.GatherInto(t.prog, schedule.Gather{B: t.basis, W: walk(i)})
+	return sim.RunProgramOnce(t.single, opts, t.prog).Cycles
 }

@@ -74,15 +74,18 @@ func TestTunedInterleaveAlternatesKinds(t *testing.T) {
 	}
 }
 
+// TestMergeStreamsBlocks checks the fused-stream merge: block ops of the
+// dX stream, then block ops of the dW stream, per turn.
 func TestMergeStreamsBlocks(t *testing.T) {
-	mk := func(kind schedule.Kind, n int) []schedule.Op {
-		ops := make([]schedule.Op, n)
-		for i := range ops {
-			ops[i].Kind = kind
-		}
-		return ops
+	kinds := func(block, n int) []schedule.Kind {
+		var ks []schedule.Kind
+		mergeWalk(ordersVal{block: block}).Each(schedule.Grid{M: n, K: 1, N: 1}, func(s schedule.Step) bool {
+			ks = append(ks, s.Kind)
+			return true
+		})
+		return ks
 	}
-	merged := mergeStreams(mk(schedule.KindDX, 5), mk(schedule.KindDW, 5), 2)
+	merged := kinds(2, 5)
 	wantKinds := []schedule.Kind{
 		schedule.KindDX, schedule.KindDX, schedule.KindDW, schedule.KindDW,
 		schedule.KindDX, schedule.KindDX, schedule.KindDW, schedule.KindDW,
@@ -92,13 +95,13 @@ func TestMergeStreamsBlocks(t *testing.T) {
 		t.Fatalf("merged %d ops", len(merged))
 	}
 	for i, k := range wantKinds {
-		if merged[i].Kind != k {
-			t.Fatalf("op %d kind %v, want %v", i, merged[i].Kind, k)
+		if merged[i] != k {
+			t.Fatalf("op %d kind %v, want %v", i, merged[i], k)
 		}
 	}
 	// Degenerate block clamps to 1.
-	if got := mergeStreams(mk(schedule.KindDX, 2), mk(schedule.KindDW, 2), 0); len(got) != 4 {
-		t.Fatalf("block 0 merge lost ops: %d", len(got))
+	if got := kinds(0, 2); len(got) != 4 || got[1] != schedule.KindDW {
+		t.Fatalf("block 0 merge: %v", got)
 	}
 }
 

@@ -117,18 +117,28 @@ func (l *LayerOutcome) addReductions(reds []sim.ReduceResult) {
 // network's first layer, which has no upstream to propagate into: only dW
 // is computed and interleaving does not apply (Section 6.2).
 func BackwardKernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) ([]schedule.Schedule, Order) {
+	kernels, o := backwardWalks(cfg, p, pol, skipDX)
+	scheds := make([]schedule.Schedule, len(kernels))
+	for i, k := range kernels {
+		scheds[i] = k.emit(p)
+	}
+	return scheds, o
+}
+
+// backwardWalks resolves BackwardKernels' tuned kernels as walks, shared by
+// the emitter above and the gathered programs of backwardProgram.
+func backwardWalks(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) ([]kernelWalk, Order) {
 	if skipDX {
-		return []schedule.Schedule{TunedDWOnly(cfg, p)}, OnlyInterleave
+		return []kernelWalk{dwOnlyWalk(baselineChoices(cfg, p))}, OnlyInterleave
 	}
 	switch pol {
 	case PolBaseline:
-		dxK, dwK := TunedBaselineKernels(cfg, p)
-		return []schedule.Schedule{dxK, dwK}, OnlyInterleave
+		return baselineWalks(baselineChoices(cfg, p)), OnlyInterleave
 	case PolInterleave:
-		return []schedule.Schedule{TunedInterleave(cfg, p)}, OnlyInterleave
+		return []kernelWalk{interleaveWalk(interleaveChoices(cfg, p))}, OnlyInterleave
 	default: // PolRearrange and above
-		sched, o := RearrangedTuned(cfg, p)
-		return []schedule.Schedule{sched}, o
+		k, o := rearrangedWalk(cfg, p, BestOrderSimulated(cfg, p))
+		return []kernelWalk{k}, o
 	}
 }
 
@@ -146,14 +156,8 @@ func RearrangedStatic(cfg config.NPU, p schedule.TileParams) (schedule.Schedule,
 
 // RearrangedWithOrder emits the rearranged schedule for an explicit order.
 func RearrangedWithOrder(cfg config.NPU, p schedule.TileParams, o Order) (schedule.Schedule, Order) {
-	switch o {
-	case DXMajor:
-		return FusedDXMajor(cfg, p), o
-	case DWMajor:
-		return FusedDWMajor(cfg, p), o
-	default:
-		return TunedInterleave(cfg, p), OnlyInterleave
-	}
+	k, o := rearrangedWalk(cfg, p, o)
+	return k.emit(p), o
 }
 
 // RunBackward simulates one layer's backward pass on a single core.
@@ -342,11 +346,13 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 // gradient kernel on all cores together), so the baseline runs as two
 // phases with a shared-SPM flush in between.
 func runMultiPlanPolicy(cfg config.NPU, opts sim.Options, plan Plan, pol Policy, sharedSPM bool) LayerOutcome {
-	orders := make(map[Order]bool)
+	var order Order
 	var phases [][][]schedule.Op
 	for _, sub := range plan.Parts {
 		kernels, o := BackwardKernels(cfg, sub, pol, false)
-		orders[o] = true
+		// Parts may choose different orders; like runPartitionedSingle, the
+		// last part's order represents the plan.
+		order = o
 		for k, kernel := range kernels {
 			if k >= len(phases) {
 				phases = append(phases, nil)
@@ -355,9 +361,7 @@ func runMultiPlanPolicy(cfg config.NPU, opts sim.Options, plan Plan, pol Policy,
 		}
 	}
 	out := finishMulti(cfg, sim.RunMultiPhased(cfg, opts, phases, sharedSPM), plan)
-	for o := range orders {
-		out.Order = o
-	}
+	out.Order = order
 	out.Scheme = plan.Scheme
 	out.Parts = len(plan.Parts)
 	return out

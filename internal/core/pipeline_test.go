@@ -208,3 +208,36 @@ func TestConcatKernels(t *testing.T) {
 		t.Fatalf("concat ops = %d", got)
 	}
 }
+
+// TestMultiPlanOrderDeterministic pins the representative access order of
+// a multi-core plan whose parts disagree: rcnn's conv2_1_3x3a split by
+// dY-sharing over two small-NPU cores has one part choose dXmajor and the
+// other dWmajor. Every cold run must report the last part's order.
+func TestMultiPlanOrderDeterministic(t *testing.T) {
+	cfg := config.SmallNPU().WithCores(2)
+	var p schedule.TileParams
+	found := false
+	for _, lp := range PlanModel(cfg, workload.FasterRCNN()) {
+		if lp.Layer.Name == "conv2_1_3x3a" {
+			p, found = lp.Params, true
+		}
+	}
+	if !found {
+		t.Fatal("rcnn has no conv2_1_3x3a layer")
+	}
+	plan := PartitionLayer(p, DYSharing, cfg.Cores)
+	orders := make(map[Order]bool)
+	for _, sub := range plan.Parts {
+		orders[BestOrderSimulated(cfg, sub)] = true
+	}
+	if len(orders) < 2 {
+		t.Fatalf("parts agree on %v; the plan no longer exercises mixed orders", orders)
+	}
+	want := BestOrderSimulated(cfg, plan.Parts[len(plan.Parts)-1])
+	for i := 0; i < 8; i++ {
+		ResetCaches()
+		if got := runMultiPlanPolicy(cfg, sim.Options{}, plan, PolRearrange, true).Order; got != want {
+			t.Fatalf("run %d: plan order %v, want the last part's %v", i, got, want)
+		}
+	}
+}

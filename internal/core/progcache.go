@@ -15,8 +15,11 @@ import (
 // depends on the configuration only through ElemBytes and SPMBytes (chunk
 // sizing) plus the *tuned candidate choices*, never on how fast the
 // simulated DRAM moves. Caching the compiled program under that narrower
-// key means a what-if bandwidth sweep pays schedule emission, interning
-// and lowering once and replays the same dense program under each timing.
+// key means a what-if bandwidth sweep builds each program once and replays
+// the same dense program under each timing. Programs are never emitted as
+// []Op: each is gathered from the shape's compiled op basis along the
+// tuned kernels' walks (schedule.Basis, DESIGN.md §3k), the same walks
+// BackwardKernels emits for traced and interpreted runs.
 //
 // Soundness: the tuned candidates ARE bandwidth-dependent (the tuner
 // simulates to pick them), so they are resolved first — through their own
@@ -55,7 +58,8 @@ func useProgramCache(opts sim.Options) bool {
 // backwardProgram returns the retained compiled program for one layer's
 // non-partitioned backward pass, sharing it across layers and hardware
 // timings that emit the same stream. The access order is resolved the same
-// way BackwardKernels resolves it.
+// way BackwardKernels resolves it, and the program is gathered from one
+// basis of the normalized shape.
 func backwardProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) (*schedule.Program, Order) {
 	np := p
 	np.Layer, np.Part = 0, 0
@@ -79,8 +83,13 @@ func backwardProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 	// resolved-trace cache, so a miss race must converge on one pointer per
 	// logical program or the distinct-key census would vary with -j.
 	prog := progCache.GetOrComputeShared(key, func() *schedule.Program {
-		kernels, _ := BackwardKernels(cfg, np, pol, skipDX)
-		return sim.CompileSchedules(kernels...)
+		kernels, _ := backwardWalks(cfg, np, pol, skipDX)
+		b := schedule.NewBasis(np)
+		gs := make([]schedule.Gather, len(kernels))
+		for i, k := range kernels {
+			gs[i] = schedule.Gather{Name: k.name, B: b, W: k.w}
+		}
+		return schedule.GatherProgram(gs...)
 	})
 	return prog, key.order
 }
@@ -115,8 +124,10 @@ func ProgramCacheLen() int { return progCache.Len() }
 // per-candidate key ~30k times per sweep cost as much as the replays it
 // guarded.) Panels are per tuner family — baseline pair, fusion set,
 // chunked majors — and built only when that tuner first reaches the
-// shape, so a shape that only ever tunes its baseline never compiles (or
-// allocates the op streams of) the twelve fusion candidates.
+// shape. Each build lowers the shape's compiled op basis once and gathers
+// every candidate of the family from it along the candidate's walk
+// (schedule.Basis): a family costs one basis lowering plus one gather per
+// candidate, and its programs share one tile table.
 
 // panelKey identifies one shape's candidate panel up to tensor renaming
 // and hardware timing.
@@ -126,8 +137,8 @@ type panelKey struct {
 	elem int
 }
 
-// basePanel holds the baseline tuner's isolated candidates, indexed by
-// the candidate ids it explores (dxMK/dxKM, dwKN/dwNK).
+// basePanel holds the baseline tuner's isolated candidates, indexed like
+// dxOrders and dwOrders.
 type basePanel struct {
 	dx [2]*schedule.Program
 	dw [2]*schedule.Program
@@ -141,8 +152,7 @@ type mergeProg struct {
 }
 
 // mergeSet lists one shape's valid fusion combinations in the joint
-// tuner's exploration order, so ties break identically whether the tuner
-// walks the panel or re-emits under the interpreter.
+// tuner's exploration order (mergeCandidates).
 type mergeSet []mergeProg
 
 // majorPanel holds the two chunked-major rearranged candidates.
@@ -163,88 +173,80 @@ var (
 // shapes are small; for the huge op grids of tiny-SPM configurations (the
 // GPU validation study's 128 KB buffer) retaining a dozen multi-megabyte
 // candidate programs per shape grows the heap far faster than the replays
-// repay. Oversized shapes fall back to emit-and-interpret, which reaches
-// bit-identical tuning decisions (the candidate orders match and the
-// executors are equivalence-tested).
+// repay. Oversized shapes gather-and-run-once instead: each tuner call
+// lowers one transient basis and prices every candidate on the one-shot
+// engine, reaching bit-identical tuning decisions (the candidate orders
+// match and the executors are equivalence-tested).
 const panelOpBudget = 1 << 13
 
 // panelFor wraps the shared compute of one panel family: nil (tuners then
-// emit and RunSchedules per candidate) when the interpreter is the
-// resolved executor or the shape's op grid exceeds the panel budget.
+// gather per call, or emit under the interpreter) when the interpreter is
+// the resolved executor or the shape's op grid exceeds the panel budget.
 // Shared values: a miss race converges on one panel, so the program
 // pointers keying the sim layer's resolved-trace cache stay canonical at
 // any -j.
-func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np schedule.TileParams, build func() V) V {
+func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np schedule.TileParams, build func(*schedule.Basis) V) V {
 	if !(sim.Options{}).CompiledResolved() || np.OpCount() > panelOpBudget {
 		var zero V
 		return zero
 	}
 	key := panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes}
-	return cache.GetOrComputeShared(key, build)
+	return cache.GetOrComputeShared(key, func() V { return build(schedule.NewBasis(np)) })
+}
+
+// gather1 gathers a one-kernel program from b.
+func gather1(b *schedule.Basis, w schedule.Walk) *schedule.Program {
+	return schedule.GatherProgram(schedule.Gather{B: b, W: w})
 }
 
 func baselinePanel(single config.NPU, np schedule.TileParams) *basePanel {
-	return panelFor(basePanels, single, np, func() *basePanel {
+	return panelFor(basePanels, single, np, func(b *schedule.Basis) *basePanel {
 		pn := &basePanel{}
-		for _, c := range []dxCandidate{dxMK, dxKM} {
-			pn.dx[c] = sim.CompileSchedules(schedule.Schedule{Ops: baselineDXOps(single, np, c)})
+		for i, o := range dxOrders {
+			pn.dx[i] = gather1(b, schedule.BaselineDXWalk(o))
 		}
-		for _, c := range []dwCandidate{dwKN, dwNK} {
-			pn.dw[c] = sim.CompileSchedules(schedule.Schedule{Ops: baselineDWOps(single, np, c)})
+		for i, o := range dwOrders {
+			pn.dw[i] = gather1(b, schedule.BaselineDWWalk(o))
 		}
 		return pn
 	})
 }
 
 func mergePanel(single config.NPU, np schedule.TileParams) mergeSet {
-	return panelFor(mergePanels, single, np, func() mergeSet {
-		var set mergeSet
-		dxLen := np.OpCount()
-		for _, dc := range []dxCandidate{dxMK, dxKM} {
-			dxOps := baselineDXOps(single, np, dc)
-			for _, wc := range []dwCandidate{dwKN, dwNK} {
-				dwOps := baselineDWOps(single, np, wc)
-				for _, blk := range interleaveBlocks {
-					// A block at least as long as a stream degenerates to the
-					// sequential baseline; the fusion must actually alternate.
-					if blk > 1 && blk >= dxLen {
-						continue
-					}
-					set = append(set, mergeProg{
-						v:    ordersVal{dx: dc, dw: wc, block: blk},
-						prog: sim.CompileSchedules(schedule.Schedule{Ops: mergeStreams(dxOps, dwOps, blk)}),
-					})
-				}
-			}
+	return panelFor(mergePanels, single, np, func(b *schedule.Basis) mergeSet {
+		vs := mergeCandidates(np)
+		set := make(mergeSet, len(vs))
+		for i, v := range vs {
+			set[i] = mergeProg{v: v, prog: gather1(b, mergeWalk(v))}
 		}
 		return set
 	})
 }
 
 func majorPanelFor(single config.NPU, np schedule.TileParams) *majorPanel {
-	return panelFor(majorPanels, single, np, func() *majorPanel {
+	return panelFor(majorPanels, single, np, func(b *schedule.Basis) *majorPanel {
 		return &majorPanel{
-			dxMajor: sim.CompileSchedules(FusedDXMajor(single, np)),
-			dwMajor: sim.CompileSchedules(FusedDWMajor(single, np)),
+			dxMajor: gather1(b, dxMajorWalk(single, np).w),
+			dwMajor: gather1(b, dwMajorWalk(single, np).w),
 		}
 	})
 }
 
 // dxProg / dwProg / progFor / *MajorProg return the retained program for
-// one candidate, or nil on a nil (interpreter-mode) panel — tuneCycles
-// then falls back to emitting the schedule.
-func (pn *basePanel) dxProg(c dxCandidate) *schedule.Program {
+// one candidate, or nil on a nil panel — the tuner then gathers or emits
+// the candidate itself.
+func (pn *basePanel) dxProg(i int) *schedule.Program {
 	if pn == nil {
 		return nil
 	}
-	return pn.dx[c]
+	return pn.dx[i]
 }
 
-func (pn *basePanel) dwProg(c dwCandidate) *schedule.Program {
+func (pn *basePanel) dwProg(i int) *schedule.Program {
 	if pn == nil {
 		return nil
 	}
-	return pn.dw[c]
+	return pn.dw[i]
 }
 
 func (s mergeSet) progFor(v ordersVal) *schedule.Program {
@@ -283,20 +285,6 @@ func tuneParams(p schedule.TileParams) schedule.TileParams {
 	p.OffM, p.OffK, p.OffN = 0, 0, 0
 	p.DXPartial, p.DWPartial = false, false
 	return p
-}
-
-// tuneCycles simulates one tuning candidate and returns its makespan:
-// the retained panel program through RunProgram's two-phase path, or —
-// when prog is nil because the interpreter is the resolved executor — a
-// plain RunSchedules of the freshly emitted schedule. Both paths are
-// bit-identical (the engine-equivalence property suite holds this), so
-// which one runs never changes a tuner's choice.
-func tuneCycles(single config.NPU, prog *schedule.Program, emit func() schedule.Schedule) int64 {
-	opts := sim.Options{}
-	if prog != nil && opts.CompiledResolved() {
-		return sim.RunProgram(single, opts, prog).Cycles
-	}
-	return sim.RunSchedules(single, opts, emit()).Cycles
 }
 
 // partKey identifies one single-core partitioned plan's compiled program
@@ -346,14 +334,16 @@ func partitionedProgram(cfg config.NPU, p schedule.TileParams, scheme Scheme, pa
 	}
 	prog := partCache.GetOrComputeShared(key, func() *schedule.Program {
 		// Rebuild from the normalized parent so the retained program's tile
-		// ids are canonical regardless of which layer resolved it first.
+		// ids are canonical regardless of which layer resolved it first. The
+		// parts' bases share one symbol space, as one compilation would.
 		nplan := PartitionLayer(np, scheme, parts)
-		scheds := make([]schedule.Schedule, 0, len(nplan.Parts))
+		bases := schedule.NewBases(nplan.Parts...)
+		gs := make([]schedule.Gather, len(nplan.Parts))
 		for i, sub := range nplan.Parts {
-			sched, _ := RearrangedWithOrder(cfg, sub, key.orders[i])
-			scheds = append(scheds, sched)
+			k, _ := rearrangedWalk(cfg, sub, key.orders[i])
+			gs[i] = schedule.Gather{Name: k.name, B: bases[i], W: k.w}
 		}
-		return sim.CompileSchedules(scheds...)
+		return schedule.GatherProgram(gs...)
 	})
 	return prog, orders, true
 }

@@ -82,3 +82,40 @@ func TestProgramCacheSharesAcrossTimings(t *testing.T) {
 		t.Errorf("ResetCaches left %d compiled programs cached", ProgramCacheLen())
 	}
 }
+
+// TestTunerFallbackMatchesInterpreter drives a shape past panelOpBudget —
+// the GPU validation study's 128 KB buffer makes one — so the tuners take
+// the gather-and-run-once path: one transient basis per tuner call, each
+// candidate run on the one-shot engine. Every tuner must pick exactly the
+// candidate the interpreter picks from the emitted schedules, and the
+// transient programs must leave no panel and no resolved trace behind.
+func TestTunerFallbackMatchesInterpreter(t *testing.T) {
+	cfg := config.GPULike()
+	p := LayerParams(tensor.Dims{M: 1024, K: 1024, N: 576}, 1, cfg)
+	if p.OpCount() <= panelOpBudget {
+		t.Fatalf("shape has %d ops, not above the panel budget %d", p.OpCount(), panelOpBudget)
+	}
+	type picks struct {
+		base, ilv ordersVal
+		order     Order
+	}
+	tune := func(compiled bool) picks {
+		prev := sim.SetCompiledDefault(compiled)
+		defer sim.SetCompiledDefault(prev)
+		ResetCaches()
+		return picks{baselineChoices(cfg, p), interleaveChoices(cfg, p), BestOrderSimulated(cfg, p)}
+	}
+	gathered := tune(true)
+	for _, c := range []interface{ Len() int }{basePanels, mergePanels, majorPanels} {
+		if n := c.Len(); n != 0 {
+			t.Errorf("fallback retained %d panels", n)
+		}
+	}
+	if n := sim.ResolvedCacheStats().Entries; n != 0 {
+		t.Errorf("fallback left %d resolved traces", n)
+	}
+	if interpreted := tune(false); gathered != interpreted {
+		t.Fatalf("gathered picks %+v, interpreter picks %+v", gathered, interpreted)
+	}
+	ResetCaches()
+}

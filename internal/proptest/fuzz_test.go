@@ -357,3 +357,20 @@ func FuzzResolvedReplay(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBasisGather fuzzes the compiled-op basis in case space: every
+// program gathered from a shape's basis must match the compiled emitted
+// schedule of the same walk up to a TileID bijection and run to the same
+// Result (CheckBasisGather), across tuner families, chunk extremes and
+// partitioned sub-shapes.
+func FuzzBasisGather(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x07, 0x93, 0x2c, 0x5d, 0xe1, 0x40, 0x18, 0xb6, 0x0a, 0x77})
+	f.Add([]byte{0xf3, 0x01, 0x88, 0x3e, 0x9a, 0x62, 0x05, 0xcd, 0x14, 0x2b, 0x70, 0xe9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := GenCase(FromBytes(data))
+		if err := CheckBasisGather(c); err != nil {
+			t.Fatalf("basis-gather: %v\n  case: %v", err, c)
+		}
+	})
+}

@@ -36,6 +36,7 @@ func Invariants() []Invariant {
 		{"partition", CheckPartition},
 		{"dy-reuse", CheckDYReuse},
 		{"analytic-bounds", CheckAnalyticBounds},
+		{"basis-gather", CheckBasisGather},
 	}
 }
 
@@ -389,6 +390,115 @@ func passBelow(pass string, pb analytic.PassBounds, r sim.Result, traffic, mem i
 		return fmt.Errorf("%s: cycle bound %d above simulated makespan %d", pass, pb.Cycles, r.Cycles)
 	case traffic > r.Traffic.Total():
 		return fmt.Errorf("%s: traffic floor %d above simulated %d", pass, traffic, r.Traffic.Total())
+	}
+	return nil
+}
+
+// CheckBasisGather is the compiled-op-basis property (DESIGN.md §3k): a
+// program gathered from a shape's basis along a walk must equal
+// sim.CompileSchedules of the schedule emitted from the same walk, up to a
+// TileID bijection — op by op in bytes, classes, flags, kind and tile
+// dims, with every gathered id naming the same tile key as its compiled
+// counterpart — and must run to the identical Result in both dY regimes.
+// The walks cover every tuner candidate family, the case's chunk size
+// (zero, one and past the grid are all legal), a fusion block past the
+// stream length, and the partitioned plan's sub-shapes — grid offsets and
+// partial-sum redirection — gathered from bases sharing one symbol space.
+func CheckBasisGather(c Case) error {
+	cfg := c.Config()
+	p := c.Params()
+	type kernel struct {
+		name string
+		p    schedule.TileParams
+		w    schedule.Walk
+	}
+	check := func(label string, b []*schedule.Basis, ks []kernel) error {
+		gs := make([]schedule.Gather, len(ks))
+		scheds := make([]schedule.Schedule, len(ks))
+		for i, k := range ks {
+			gs[i] = schedule.Gather{Name: k.name, B: b[i], W: k.w}
+			scheds[i] = k.p.Schedule(k.name, k.w)
+		}
+		got := schedule.GatherProgram(gs...)
+		want := sim.CompileSchedules(scheds...)
+		if err := sameUpToRenaming(got, want); err != nil {
+			return fmt.Errorf("%s: %w", label, err)
+		}
+		for _, free := range []bool{false, true} {
+			opts := sim.Options{FreeDYOnDW: free}
+			if g, w := sim.RunProgram(cfg, opts, got), sim.RunProgram(cfg, opts, want); g != w {
+				return fmt.Errorf("%s freeDY=%v: gathered %+v != compiled %+v", label, free, g, w)
+			}
+		}
+		return nil
+	}
+
+	b := []*schedule.Basis{schedule.NewBasis(p)}
+	g := p.Grid()
+	past := max(g.M, g.K, g.N) + 1
+	walks := []core.Candidate{
+		{Name: "ps-dx-rows", Walk: schedule.PartialStationaryDXWalk(c.Chunk)},
+		{Name: "ps-dx-cols", Walk: schedule.PartialStationaryDXColsWalk(past)},
+		{Name: "ps-dw-rows", Walk: schedule.PartialStationaryDWWalk(1)},
+		{Name: "ps-dw-cols", Walk: schedule.PartialStationaryDWColsWalk(c.Chunk)},
+		{Name: "dxmajor", Walk: core.DXMajorWalk(c.Chunk)},
+		{Name: "dwmajor-past", Walk: core.DWMajorWalk(past)},
+		{Name: "merge-past", Walk: schedule.Merge(schedule.BaselineDXWalk(schedule.DXOrderKM),
+			schedule.BaselineDWWalk(schedule.DWOrderNK), 2*g.Points())},
+	}
+	walks = append(walks, core.TunerCandidates(cfg, p)...)
+	for _, cd := range walks {
+		if err := check(cd.Name, b, []kernel{{cd.Name, p, cd.Walk}}); err != nil {
+			return err
+		}
+	}
+	// The baseline's two kernels from one basis: flushed, one symbol space.
+	if err := check("two-kernel", []*schedule.Basis{b[0], b[0]}, []kernel{
+		{"dx", p, schedule.BaselineDXWalk(schedule.DXOrderMK)},
+		{"dw", p, schedule.BaselineDWWalk(schedule.DWOrderKN)},
+	}); err != nil {
+		return err
+	}
+
+	plan := core.PartitionLayer(p, c.Scheme, c.Parts)
+	bases := schedule.NewBases(plan.Parts...)
+	for _, w := range []schedule.Walk{
+		core.DXMajorWalk(c.Chunk),
+		core.DWMajorWalk(c.Chunk),
+		schedule.Merge(schedule.BaselineDXWalk(schedule.DXOrderMK), schedule.BaselineDWWalk(schedule.DWOrderKN), 1),
+	} {
+		ks := make([]kernel, len(plan.Parts))
+		for i, sub := range plan.Parts {
+			ks[i] = kernel{fmt.Sprintf("part%d", i), sub, w}
+		}
+		if err := check(fmt.Sprintf("%v x%d", c.Scheme, len(plan.Parts)), bases, ks); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameUpToRenaming compares two programs op by op, ignoring TileID values
+// but requiring each id pair to name one tile key in the two tables: the
+// renaming between them is then a bijection on the tiles used.
+func sameUpToRenaming(got, want *schedule.Program) error {
+	if !reflect.DeepEqual(got.Kernels, want.Kernels) {
+		return fmt.Errorf("kernels %v, want %v", got.Kernels, want.Kernels)
+	}
+	if len(got.Code) != len(want.Code) {
+		return fmt.Errorf("%d ops, want %d", len(got.Code), len(want.Code))
+	}
+	for i := range got.Code {
+		g, w := got.Code[i], want.Code[i]
+		for _, ids := range [][2]schedule.TileID{{g.A, w.A}, {g.B, w.B}, {g.Out, w.Out}} {
+			if gk, wk := got.Table.Keys[ids[0]], want.Table.Keys[ids[1]]; gk != wk {
+				return fmt.Errorf("op %d: gathered tile %v, compiled %v", i, gk, wk)
+			}
+		}
+		g.A, g.B, g.Out = w.A, w.B, w.Out
+		if g != w {
+			return fmt.Errorf("op %d: gathered %+v, compiled %+v", i, got.Code[i], want.Code[i])
+		}
 	}
 	return nil
 }

@@ -51,6 +51,11 @@ func TestPropertyPartition(t *testing.T) {
 	Run(t, "partition", casesPerInvariant, CheckPartition)
 }
 
+func TestPropertyBasisGather(t *testing.T) {
+	t.Parallel()
+	Run(t, "basis-gather", casesPerInvariant, CheckBasisGather)
+}
+
 func TestPropertyDYReuse(t *testing.T) {
 	t.Parallel()
 	Run(t, "dy-reuse", casesPerInvariant, CheckDYReuse)

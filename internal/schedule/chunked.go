@@ -8,8 +8,8 @@ package schedule
 // These orders complete each output tile only after the full reduction, so
 // they emit exactly the same op multiset as the reduction-inner orders.
 //
-// The loop nests live in the stream generators (stream.go); the functions
-// here materialize them for callers that need a slice.
+// The loop nests are the named walks (walk.go); the functions here
+// materialize them for callers that need a slice.
 
 // clampChunk bounds a chunk size (in tiles) to [1, total].
 func clampChunk(chunk, total int) int {

@@ -103,6 +103,18 @@ func NewCompiler() *Compiler {
 	return c
 }
 
+// newCompilerFor returns a compiler sized for n distinct tiles, so
+// interning them never grows the key storage or rehashes the table.
+func newCompilerFor(n int) *Compiler {
+	size := 2048
+	for 4*n > 3*size {
+		size *= 2
+	}
+	c := &Compiler{keys: make([]TileKey, 0, n)}
+	c.rehash(size)
+	return c
+}
+
 // maxRetainedTable caps the probe-table size a pooled compiler keeps
 // across Reset. Clearing the table is O(len(table)), so one giant program
 // must not tax every later small compilation with a multi-MiB clear —

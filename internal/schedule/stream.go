@@ -51,91 +51,19 @@ func (p TileParams) OpCount() int {
 	return mt * kt * nt
 }
 
+// The stream forms of the named walks (walk.go).
+
 // ForwardStream is the stream form of Forward.
-func ForwardStream(p TileParams) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		for mo := 0; mo < mt; mo++ {
-			for no := 0; no < nt; no++ {
-				for ko := 0; ko < kt; ko++ {
-					op := Op{
-						A:        p.XTile(mo, ko),
-						B:        p.WTile(ko, no),
-						Out:      p.YTile(mo, no),
-						Tm:       clip(mo, p.Tiling.Tm, p.Dims.M),
-						Tk:       clip(ko, p.Tiling.Tk, p.Dims.K),
-						Tn:       clip(no, p.Tiling.Tn, p.Dims.N),
-						OutFirst: ko == 0,
-						OutLast:  ko == kt-1,
-						Kind:     KindFwd,
-					}
-					if !yield(&op) {
-						return
-					}
-				}
-			}
-		}
-	}
-}
+func ForwardStream(p TileParams) OpStream { return p.Stream(ForwardWalk()) }
 
 // BaselineDXStream is the stream form of BaselineDXOrdered.
 func BaselineDXStream(p TileParams, order DXLoopOrder) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		if order == DXOrderMK {
-			for mo := 0; mo < mt; mo++ {
-				for ko := 0; ko < kt; ko++ {
-					for no := 0; no < nt; no++ {
-						op := p.DXOp(mo, ko, no, nt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-			return
-		}
-		for ko := 0; ko < kt; ko++ {
-			for mo := 0; mo < mt; mo++ {
-				for no := 0; no < nt; no++ {
-					op := p.DXOp(mo, ko, no, nt)
-					if !yield(&op) {
-						return
-					}
-				}
-			}
-		}
-	}
+	return p.Stream(BaselineDXWalk(order))
 }
 
 // BaselineDWStream is the stream form of BaselineDWOrdered.
 func BaselineDWStream(p TileParams, order DWLoopOrder) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		if order == DWOrderKN {
-			for ko := 0; ko < kt; ko++ {
-				for no := 0; no < nt; no++ {
-					for mo := 0; mo < mt; mo++ {
-						op := p.DWOp(ko, no, mo, mt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-			return
-		}
-		for no := 0; no < nt; no++ {
-			for ko := 0; ko < kt; ko++ {
-				for mo := 0; mo < mt; mo++ {
-					op := p.DWOp(ko, no, mo, mt)
-					if !yield(&op) {
-						return
-					}
-				}
-			}
-		}
-	}
+	return p.Stream(BaselineDWWalk(order))
 }
 
 // BaselineBackwardStream is the stream form of BaselineBackwardOrdered: the
@@ -146,84 +74,20 @@ func BaselineBackwardStream(p TileParams, dxo DXLoopOrder, dwo DWLoopOrder) OpSt
 
 // PartialStationaryDXStream is the stream form of PartialStationaryDX.
 func PartialStationaryDXStream(p TileParams, chunkRows int) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		chunk := clampChunk(chunkRows, mt)
-		for mc := 0; mc < mt; mc += chunk {
-			hi := min(mc+chunk, mt)
-			for no := 0; no < nt; no++ {
-				for mo := mc; mo < hi; mo++ {
-					for ko := 0; ko < kt; ko++ {
-						op := p.DXOp(mo, ko, no, nt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-		}
-	}
+	return p.Stream(PartialStationaryDXWalk(chunkRows))
 }
 
 // PartialStationaryDXColsStream is the stream form of PartialStationaryDXCols.
 func PartialStationaryDXColsStream(p TileParams, chunkCols int) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		chunk := clampChunk(chunkCols, kt)
-		for kc := 0; kc < kt; kc += chunk {
-			hi := min(kc+chunk, kt)
-			for no := 0; no < nt; no++ {
-				for ko := kc; ko < hi; ko++ {
-					for mo := 0; mo < mt; mo++ {
-						op := p.DXOp(mo, ko, no, nt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-		}
-	}
+	return p.Stream(PartialStationaryDXColsWalk(chunkCols))
 }
 
 // PartialStationaryDWStream is the stream form of PartialStationaryDW.
 func PartialStationaryDWStream(p TileParams, chunkRows int) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		chunk := clampChunk(chunkRows, kt)
-		for kc := 0; kc < kt; kc += chunk {
-			hi := min(kc+chunk, kt)
-			for mo := 0; mo < mt; mo++ {
-				for ko := kc; ko < hi; ko++ {
-					for no := 0; no < nt; no++ {
-						op := p.DWOp(ko, no, mo, mt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-		}
-	}
+	return p.Stream(PartialStationaryDWWalk(chunkRows))
 }
 
 // PartialStationaryDWColsStream is the stream form of PartialStationaryDWCols.
 func PartialStationaryDWColsStream(p TileParams, chunkCols int) OpStream {
-	return func(yield func(*Op) bool) {
-		mt, kt, nt := p.Tiling.Counts(p.Dims)
-		chunk := clampChunk(chunkCols, nt)
-		for nc := 0; nc < nt; nc += chunk {
-			hi := min(nc+chunk, nt)
-			for mo := 0; mo < mt; mo++ {
-				for no := nc; no < hi; no++ {
-					for ko := 0; ko < kt; ko++ {
-						op := p.DWOp(ko, no, mo, mt)
-						if !yield(&op) {
-							return
-						}
-					}
-				}
-			}
-		}
-	}
+	return p.Stream(PartialStationaryDWColsWalk(chunkCols))
 }

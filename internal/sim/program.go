@@ -77,6 +77,14 @@ func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 		}
 		return res
 	}
+	return RunProgramOnce(cfg, opts, prog)
+}
+
+// RunProgramOnce executes prog on a pooled engine without consulting or
+// filling the resolved-trace cache: the path for transient programs (a
+// tuner's large-shape candidates, gathered into one reused buffer), whose
+// pointer must never key a retained trace.
+func RunProgramOnce(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 	cr := compiledPool.Get()
 	e := &cr.eng
 	e.Init(cfg, opts)
