@@ -24,8 +24,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Machine-readable perf trajectory (DESIGN.md §3g): BENCH_compiled.json
-# records ns/op, allocs/op and simulated-DRAM MB/s for the compiled-vs-
-# interpreted engine benchmarks; BENCH_sweep.json records the canonical
+# records ns/op, allocs/op and simulated-DRAM MB/s for the compiled engine
+# benchmarks (full passes and steady state); BENCH_sweep.json records the canonical
 # pruned design-space sweep's throughput and pruned fraction (§3h). CI runs
 # one iteration per benchmark — enough to prove the harness and refresh the
 # artifacts; quote numbers from a longer run (`make bench-json BENCHTIME=2s`).

@@ -236,19 +236,6 @@ func BenchmarkSweepPruned(b *testing.B) {
 
 // --- microbenchmarks: simulator hot paths ---
 
-func BenchmarkEngineStep(b *testing.B) {
-	cfg := config.LargeNPU()
-	p := core.LayerParams(tensor.Dims{M: 1024, K: 1024, N: 1024}, 1, cfg)
-	ops := schedule.BaselineBackward(p).Ops
-	e := sim.NewEngine(cfg, sim.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		e.Run(ops)
-	}
-	b.ReportMetric(float64(len(ops)), "ops/run")
-}
-
 func BenchmarkScheduleGeneration(b *testing.B) {
 	cfg := config.LargeNPU()
 	p := core.LayerParams(tensor.Dims{M: 4096, K: 1024, N: 4096}, 1, cfg)

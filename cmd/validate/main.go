@@ -22,7 +22,6 @@ import (
 
 	"igosim/internal/metrics"
 	"igosim/internal/runner"
-	"igosim/internal/sim"
 	"igosim/internal/trace"
 	"igosim/internal/validate"
 )
@@ -36,7 +35,6 @@ func main() {
 		refCheck   = flag.Bool("refcheck", false, "replay every simulation through the refmodel oracle and require bit-exact counters")
 		traceOut   = flag.String("trace", "", "write Chrome trace-event JSON of the residency simulations to this file (view in Perfetto)")
 		report     = flag.Bool("report", false, "print the trace-derived report: stall attribution, SPM occupancy, reuse distances")
-		compiled   = flag.Bool("compiled", true, "execute schedules on the compiled engine (false = reference interpreter; results are identical)")
 		manifest   = flag.String("manifest", "", "write the deterministic run manifest (JSON) to this file")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file")
@@ -46,7 +44,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sim.SetCompiledDefault(*compiled)
 	runner.SetParallelism(*jobs)
 	stopTrace := trace.StartCLI(*traceOut, *report)
 
@@ -71,8 +68,7 @@ func main() {
 			Suite    string `json:"suite"`
 			Model    string `json:"model"`
 			RefCheck bool   `json:"refcheck"`
-			Compiled bool   `json:"compiled"`
-		}{"validate", *suiteName, *modelName, *refCheck, *compiled}); err != nil {
+		}{"validate", *suiteName, *modelName, *refCheck}); err != nil {
 			fatal(err)
 		}
 		m.Validate = &sum

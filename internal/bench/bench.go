@@ -8,11 +8,11 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"igosim/internal/config"
 	"igosim/internal/core"
+	"igosim/internal/refmodel"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/workload"
@@ -51,24 +51,24 @@ func ResNet50Backward() Workload {
 	return w
 }
 
-// Verify checks the two engines agree on every layer before their speeds
-// are worth comparing.
+// Verify checks the engine agrees with the refmodel oracle on every layer
+// before its speed is worth measuring.
 func (w Workload) Verify() error {
 	for i, kernels := range w.Model {
-		want := sim.RunSchedules(w.Cfg, sim.Options{Compiled: sim.EngineInterpreted}, kernels...)
-		got := sim.RunSchedules(w.Cfg, sim.Options{Compiled: sim.EngineCompiled}, kernels...)
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("bench: layer %d: compiled result diverged from interpreter: %+v != %+v", i, got, want)
+		got := sim.RunSchedules(w.Cfg, sim.Options{}, kernels...)
+		want := refmodel.ReplaySchedules(w.Cfg, refmodel.Options{}, kernels...)
+		if err := refmodel.Compare(got, want); err != nil {
+			return fmt.Errorf("bench: layer %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
 // Pass returns a benchmark body measuring full passes (lower + execute)
-// through RunSchedules on the chosen engine.
-func (w Workload) Pass(mode sim.EngineChoice) func(*testing.B) {
+// through RunSchedules.
+func (w Workload) Pass() func(*testing.B) {
 	return func(b *testing.B) {
-		opts := sim.Options{Compiled: mode}
+		opts := sim.Options{}
 		b.SetBytes(w.Bytes) // simulated DRAM bytes per full backward pass
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -329,18 +329,14 @@ func (t *tuner) best(n int, prog func(i int) *schedule.Program, walk func(i int)
 }
 
 // cycles simulates candidate i and returns its makespan: the retained
-// panel program through RunProgram's two-phase path; a program gathered
+// panel program through RunProgram's two-phase path, or a program gathered
 // from the transient basis on the one-shot engine when the shape has no
-// panel; or, when the interpreter is the resolved executor, the emitted
-// schedule. All three are bit-identical (the engine-equivalence and
-// basis-gather property suites hold this), so which one runs never changes
-// a tuner's choice.
+// panel. Both are bit-identical (the resolved-replay and basis-gather
+// property suites hold this), so which one runs never changes a tuner's
+// choice.
 func (t *tuner) cycles(prog *schedule.Program, walk func(i int) schedule.Walk, i int) int64 {
 	opts := sim.Options{}
-	switch {
-	case !opts.CompiledResolved():
-		return sim.RunSchedules(t.single, opts, t.np.Schedule("", walk(i))).Cycles
-	case prog != nil:
+	if prog != nil {
 		return sim.RunProgram(t.single, opts, prog).Cycles
 	}
 	if t.basis == nil {

@@ -71,10 +71,6 @@ func layerKeyFor(cfg config.NPU, p schedule.TileParams, kind memoKind, opts sim.
 	// share cache entries; keeping the sink or label in the key would both
 	// fragment the cache and defeat memoization whenever tracing is on.
 	opts.Trace, opts.TraceLabel = nil, ""
-	// The executor choice cannot change outcomes either — the compiled
-	// engine is bit-exact against the interpreter (PropCompiledEquivalence)
-	// — so both modes share cache entries.
-	opts.Compiled = sim.EngineDefault
 	return layerKey{fp: cfg.Fingerprint(), p: p, kind: kind, opts: opts}
 }
 

@@ -217,11 +217,10 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 		return LayerOutcome{}, false
 	}
 	// Partitions are separate kernels on one core: the scratchpad is flushed
-	// between them, so this matches per-part FlushSPM exactly. Untraced
-	// compiled runs replay a shared pre-lowered program (per-part orders
-	// resolved first, mirroring backwardProgram); otherwise the kernels are
-	// emitted and simulated directly, letting Options.Compiled pick the
-	// executor.
+	// between them, exactly as at any kernel boundary. Untraced runs replay
+	// a shared pre-lowered program (per-part orders resolved first,
+	// mirroring backwardProgram); otherwise the kernels are emitted and
+	// simulated directly.
 	var out LayerOutcome
 	var orderList []Order
 	if useProgramCache(opts) {

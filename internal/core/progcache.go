@@ -19,7 +19,7 @@ import (
 // the same dense program under each timing. Programs are never emitted as
 // []Op: each is gathered from the shape's compiled op basis along the
 // tuned kernels' walks (schedule.Basis, DESIGN.md §3k), the same walks
-// BackwardKernels emits for traced and interpreted runs.
+// BackwardKernels emits for traced runs.
 //
 // Soundness: the tuned candidates ARE bandwidth-dependent (the tuner
 // simulates to pick them), so they are resolved first — through their own
@@ -47,12 +47,11 @@ type progKey struct {
 var progCache = runner.NewCache[progKey, *schedule.Program]("core/compiled-prog")
 
 // useProgramCache reports whether a RunBackward/RunForward call can go
-// through the shared compiled-program cache: the compiled executor must be
-// the resolved choice, and the run must be untraced (a shared program
-// carries normalized tile ids, which results are invariant to but trace
-// labels are not).
+// through the shared compiled-program cache: only untraced runs can (a
+// shared program carries normalized tile ids, which results are invariant
+// to but trace labels are not).
 func useProgramCache(opts sim.Options) bool {
-	return opts.Trace == nil && opts.CompiledResolved()
+	return opts.Trace == nil
 }
 
 // backwardProgram returns the retained compiled program for one layer's
@@ -176,17 +175,16 @@ var (
 // repay. Oversized shapes gather-and-run-once instead: each tuner call
 // lowers one transient basis and prices every candidate on the one-shot
 // engine, reaching bit-identical tuning decisions (the candidate orders
-// match and the executors are equivalence-tested).
+// match and the two paths are property-tested equal).
 const panelOpBudget = 1 << 13
 
 // panelFor wraps the shared compute of one panel family: nil (tuners then
-// gather per call, or emit under the interpreter) when the interpreter is
-// the resolved executor or the shape's op grid exceeds the panel budget.
+// gather per call) when the shape's op grid exceeds the panel budget.
 // Shared values: a miss race converges on one panel, so the program
 // pointers keying the sim layer's resolved-trace cache stay canonical at
 // any -j.
 func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np schedule.TileParams, build func(*schedule.Basis) V) V {
-	if !(sim.Options{}).CompiledResolved() || np.OpCount() > panelOpBudget {
+	if np.OpCount() > panelOpBudget {
 		var zero V
 		return zero
 	}

@@ -499,7 +499,8 @@ func (w *walker) call(call *ast.CallExpr) {
 		// Immediately-invoked literal: the enclosure edge added by visit()
 		// covers it.
 	default:
-		// spm.New[K](...) — generic instantiation of a declared function.
+		// runner.NewCache[K, V](...) — generic instantiation of a declared
+		// function.
 		if obj := instantiatedFunc(w.pkg, fun); obj != nil {
 			w.callFunc(call, obj)
 			return

@@ -18,8 +18,8 @@
 //     (e.g. `func (s *Sink) Enabled() bool { return s != nil }` — method
 //     calls are fine, nil-safe by this same contract; field reads are not).
 //
-// A second rule covers optional callback fields such as spm.Buffer.OnChange:
-// a function-typed struct field whose doc comment carries a
+// A second rule covers optional callback fields (hooks left nil when a
+// feature is off): a function-typed struct field whose doc comment carries a
 // `//lint:guardedcall` marker may only be invoked behind a nil check — either
 // lexically inside `if x.Field != nil { ... }` (the condition may be an &&
 // chain) or after an early-return `if x.Field == nil { return }` fast path
@@ -149,7 +149,7 @@ type callChecker struct {
 
 // stmts checks a statement list. An early-return `if x.F == nil { return }`
 // extends the guarded set for the remainder of the same block — the shape
-// of spm.Buffer.notifyChange.
+// of a single notify helper with a nil fast path.
 func (c *callChecker) stmts(list []ast.Stmt, guarded map[string]bool) {
 	guarded = cloneSet(guarded)
 	for _, s := range list {

@@ -27,7 +27,7 @@ type Plain struct{ n int }
 func (p *Plain) Add(v int) { p.n += v }
 
 // Notifier exercises the //lint:guardedcall rule on an optional callback
-// field, mirroring spm.Buffer.OnChange.
+// field: a hook left nil when its feature is off.
 type Notifier struct {
 	n int
 

@@ -101,6 +101,10 @@ type Case struct {
 	// Scheme and Parts configure the partitioning invariants.
 	Scheme core.Scheme
 	Parts  int
+
+	// Cores and Phases shape the multicore-oracle workload: the layer split
+	// by Scheme across Cores (1-4) and run for Phases (1-3) phases.
+	Cores, Phases int
 }
 
 // maxOpsPerCase bounds the tile-op grid so a single case stays fast enough
@@ -150,6 +154,8 @@ func GenCase(s *Source) Case {
 		c.XFactor = float64(s.IntRange(5, 95)) / 100
 	}
 	c.SPMExtra = s.Int63Range(0, max(c.maxTileBytes()-1, 0))
+	c.Cores = s.IntRange(1, 4)
+	c.Phases = s.IntRange(1, 3)
 	return c.normalize()
 }
 
@@ -178,6 +184,8 @@ func (c Case) normalize() Case {
 		c.Variant = VariantBaseline
 	}
 	c.Parts = min(max(c.Parts, 1), schedule.MaxPartitions)
+	c.Cores = min(max(c.Cores, 1), 4)
+	c.Phases = min(max(c.Phases, 1), 3)
 	switch c.Scheme {
 	case core.WeightSharing, core.DYSharing, core.IfmapSharing:
 	default:
@@ -256,8 +264,10 @@ func (c Case) Params() schedule.TileParams {
 
 // Schedules materialises the case's schedule variant as the kernel sequence
 // sim.RunSchedules (and the oracle) executes.
-func (c Case) Schedules() []schedule.Schedule {
-	p := c.Params()
+func (c Case) Schedules() []schedule.Schedule { return c.schedulesFor(c.Params()) }
+
+// schedulesFor materialises the case's schedule variant for p.
+func (c Case) schedulesFor(p schedule.TileParams) []schedule.Schedule {
 	switch c.Variant {
 	case VariantBaselineTwoKernel:
 		return []schedule.Schedule{
@@ -298,10 +308,41 @@ func (c Case) AllOps() []schedule.Op {
 	return ops
 }
 
+// MultiConfig is Config with the case's core count.
+func (c Case) MultiConfig() config.NPU {
+	cfg := c.Config()
+	cfg.Cores = c.Cores
+	return cfg
+}
+
+// MultiPhases builds the multicore-oracle workload: the layer partitioned
+// by Scheme into at most Cores parts, each part's variant kernels
+// concatenated into one stream. In phase i core c runs part (c+i) mod
+// Cores, so tiles one core placed before a phase boundary are requested by
+// another core after it. Cores beyond the plan's part count idle.
+func (c Case) MultiPhases() [][][]schedule.Op {
+	plan := core.PartitionLayer(c.Params(), c.Scheme, c.Cores)
+	parts := make([][]schedule.Op, c.Cores)
+	for i, sub := range plan.Parts {
+		for _, s := range c.schedulesFor(sub) {
+			parts[i] = append(parts[i], s.Ops...)
+		}
+	}
+	phases := make([][][]schedule.Op, c.Phases)
+	for pi := range phases {
+		phases[pi] = make([][]schedule.Op, c.Cores)
+		for ci := range phases[pi] {
+			phases[pi][ci] = parts[(ci+pi)%c.Cores]
+		}
+	}
+	return phases
+}
+
 func (c Case) String() string {
 	return fmt.Sprintf(
-		"case{%v tile %dx%dx%d elem %d arr %dx%d ws=%v band %dB/c lat %d spm %dxTile+%dB xf %.2f %v chunk %d %v parts %d}",
+		"case{%v tile %dx%dx%d elem %d arr %dx%d ws=%v band %dB/c lat %d spm %dxTile+%dB xf %.2f %v chunk %d %v parts %d cores %d phases %d}",
 		c.Dims, c.Tiling.Tm, c.Tiling.Tk, c.Tiling.Tn, c.ElemBytes,
 		c.ArrayRows, c.ArrayCols, c.WeightStationary, c.BandBPC, c.Latency,
-		c.SPMFactor, c.SPMExtra, c.XFactor, c.Variant, c.Chunk, c.Scheme, c.Parts)
+		c.SPMFactor, c.SPMExtra, c.XFactor, c.Variant, c.Chunk, c.Scheme, c.Parts,
+		c.Cores, c.Phases)
 }

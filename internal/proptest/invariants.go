@@ -29,7 +29,7 @@ func Invariants() []Invariant {
 	return []Invariant{
 		{"structure", CheckStructure},
 		{"oracle", CheckOracle},
-		{"compiled-equivalence", CheckCompiledEquivalence},
+		{"multicore-oracle", CheckMultiOracle},
 		{"resolved-replay", CheckResolvedReplay},
 		{"cycle-bounds", CheckCycleBounds},
 		{"conservation", CheckConservation},
@@ -56,10 +56,10 @@ func CheckStructure(c Case) error {
 }
 
 // CheckOracle replays the case's kernel stream through the internal/refmodel
-// interpreter and demands bit-exact agreement with internal/sim on every
-// counter: cycles, per-class traffic, residency stats and spills. Both the
-// default engine semantics and the Section 3.3 free-dY limit study are
-// compared.
+// interpreter and demands bit-exact agreement with the compiled engine
+// (internal/sim) on every counter: cycles, per-class traffic, residency
+// stats and spills. Both the default engine semantics and the Section 3.3
+// free-dY limit study are compared.
 func CheckOracle(c Case) error {
 	cfg := c.Config()
 	scheds := c.Schedules()
@@ -73,24 +73,20 @@ func CheckOracle(c Case) error {
 	return nil
 }
 
-// CheckCompiledEquivalence is the three-way agreement property behind the
-// compiled execution path (DESIGN.md §3g): for every generated case and
-// both free-dY modes, the compiled engine, the interpreter and the
-// refmodel oracle must agree bit-exactly on every counter. The
-// compiled/interpreted comparison is full-struct equality; the oracle
-// comparison reuses refmodel's field-by-field diff for readable failures.
-func CheckCompiledEquivalence(c Case) error {
-	cfg := c.Config()
-	scheds := c.Schedules()
-	for _, free := range []bool{false, true} {
-		interp := sim.RunSchedules(cfg, sim.Options{FreeDYOnDW: free, Compiled: sim.EngineInterpreted}, scheds...)
-		compiled := sim.RunSchedules(cfg, sim.Options{FreeDYOnDW: free, Compiled: sim.EngineCompiled}, scheds...)
-		if !reflect.DeepEqual(compiled, interp) {
-			return fmt.Errorf("freeDY=%v: compiled %+v != interpreted %+v", free, compiled, interp)
-		}
-		want := refmodel.ReplaySchedules(cfg, refmodel.Options{FreeDYOnDW: free}, scheds...)
-		if err := refmodel.Compare(compiled, want); err != nil {
-			return fmt.Errorf("freeDY=%v: compiled vs oracle: %w", free, err)
+// CheckMultiOracle holds the multi-core engine to refmodel.ReplayMulti on
+// the case's partitioned multi-phase workload (Case.MultiPhases): every
+// counter bit-exact, per core and in aggregate, including shared hits,
+// under shared and private scratchpad placement and both free-dY modes.
+func CheckMultiOracle(c Case) error {
+	cfg := c.MultiConfig()
+	phases := c.MultiPhases()
+	for _, shared := range []bool{true, false} {
+		for _, free := range []bool{false, true} {
+			got := sim.RunMultiPhased(cfg, sim.Options{FreeDYOnDW: free}, phases, shared)
+			want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, phases, shared)
+			if err := refmodel.CompareMulti(got, want); err != nil {
+				return fmt.Errorf("shared=%v freeDY=%v: %w", shared, free, err)
+			}
 		}
 	}
 	return nil

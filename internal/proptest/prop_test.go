@@ -26,9 +26,9 @@ func TestPropertyOracle(t *testing.T) {
 	Run(t, "oracle", casesPerInvariant, CheckOracle)
 }
 
-func TestPropertyCompiledEquivalence(t *testing.T) {
+func TestPropertyMultiOracle(t *testing.T) {
 	t.Parallel()
-	Run(t, "compiled-equivalence", casesPerInvariant, CheckCompiledEquivalence)
+	Run(t, "multicore-oracle", casesPerInvariant, CheckMultiOracle)
 }
 
 func TestPropertyResolvedReplay(t *testing.T) {

@@ -2,7 +2,7 @@ package proptest
 
 // Shrink greedily minimises a failing case: it tries one simplification at
 // a time — halving dimensions and tiles toward 1, zeroing chunk and
-// latency, collapsing partitions, narrowing elements, dropping the im2col
+// latency, collapsing partitions, cores and phases, narrowing elements, dropping the im2col
 // factor, trimming scratchpad slack — and keeps any move that still fails
 // the predicate. The result is a local minimum: no single move both keeps
 // the case failing and makes it simpler. budget caps predicate evaluations
@@ -54,6 +54,8 @@ func moves(c Case) []Case {
 		func(m *Case) bool { v, ok := halve(m.Tiling.Tk, 1); m.Tiling.Tk = v; return ok },
 		func(m *Case) bool { v, ok := halve(m.Tiling.Tn, 1); m.Tiling.Tn = v; return ok },
 		func(m *Case) bool { v, ok := halve(m.Parts, 1); m.Parts = v; return ok },
+		func(m *Case) bool { v, ok := halve(m.Cores, 1); m.Cores = v; return ok },
+		func(m *Case) bool { v, ok := halve(m.Phases, 1); m.Phases = v; return ok },
 		func(m *Case) bool { v, ok := halve(m.Chunk, 0); m.Chunk = v; return ok },
 		func(m *Case) bool { v, ok := halve(m.ElemBytes, 1); m.ElemBytes = v; return ok },
 		func(m *Case) bool { v, ok := halve(m.ArrayRows, 1); m.ArrayRows = v; return ok },

@@ -14,27 +14,58 @@ import (
 // consume the same hardware cost primitives, so even cycle counts must
 // match to the last digit.
 func Compare(got sim.Result, want Counts) error {
-	var diffs []string
-	add := func(field string, g, w int64) {
-		if g != w {
-			diffs = append(diffs, fmt.Sprintf("%s: sim %d, oracle %d", field, g, w))
-		}
+	var d differ
+	d.result("", got, want)
+	return d.err()
+}
+
+// CompareMulti is Compare for a multi-core run: the makespan, shared hits,
+// aggregate traffic and every core's counters, each diverging field named
+// (per-core fields as core<i>.<field>).
+func CompareMulti(got sim.MultiResult, want MultiCounts) error {
+	var d differ
+	d.add("Cycles", got.Cycles, want.Cycles)
+	d.add("SharedHits", got.SharedHits, want.SharedHits)
+	d.traffic("", got.Traffic, want.Traffic)
+	d.add("len(PerCore)", int64(len(got.PerCore)), int64(len(want.PerCore)))
+	for c := range min(len(got.PerCore), len(want.PerCore)) {
+		d.result(fmt.Sprintf("core%d.", c), got.PerCore[c], want.PerCore[c])
 	}
-	add("Cycles", got.Cycles, want.Cycles)
-	add("ComputeCycles", got.ComputeCycles, want.ComputeCycles)
-	add("MemCycles", got.MemCycles, want.MemCycles)
-	add("Ops", got.Ops, want.Ops)
-	add("SPM.Hits", got.SPM.Hits, want.Hits)
-	add("SPM.Misses", got.SPM.Misses, want.Misses)
-	add("SPM.Evictions", got.SPM.Evictions, want.Evictions)
-	add("Spills", got.Spills, want.Spills)
+	return d.err()
+}
+
+// differ collects field-level disagreements.
+type differ struct{ diffs []string }
+
+func (d *differ) add(field string, g, w int64) {
+	if g != w {
+		d.diffs = append(d.diffs, fmt.Sprintf("%s: sim %d, oracle %d", field, g, w))
+	}
+}
+
+func (d *differ) result(prefix string, got sim.Result, want Counts) {
+	d.add(prefix+"Cycles", got.Cycles, want.Cycles)
+	d.add(prefix+"ComputeCycles", got.ComputeCycles, want.ComputeCycles)
+	d.add(prefix+"MemCycles", got.MemCycles, want.MemCycles)
+	d.add(prefix+"Ops", got.Ops, want.Ops)
+	d.add(prefix+"SPM.Hits", got.SPM.Hits, want.Hits)
+	d.add(prefix+"SPM.Misses", got.SPM.Misses, want.Misses)
+	d.add(prefix+"SPM.Evictions", got.SPM.Evictions, want.Evictions)
+	d.add(prefix+"Spills", got.Spills, want.Spills)
+	d.traffic(prefix, got.Traffic, want.Traffic)
+}
+
+func (d *differ) traffic(prefix string, got, want dram.Traffic) {
 	for _, c := range dram.Classes() {
-		add(fmt.Sprintf("Traffic.Read[%v]", c), got.Traffic.Read[c], want.Traffic.Read[c])
-		add(fmt.Sprintf("Traffic.Write[%v]", c), got.Traffic.Write[c], want.Traffic.Write[c])
+		d.add(fmt.Sprintf("%sTraffic.Read[%v]", prefix, c), got.Read[c], want.Read[c])
+		d.add(fmt.Sprintf("%sTraffic.Write[%v]", prefix, c), got.Write[c], want.Write[c])
 	}
-	if len(diffs) == 0 {
+}
+
+func (d *differ) err() error {
+	if len(d.diffs) == 0 {
 		return nil
 	}
 	return fmt.Errorf("refmodel: simulator disagrees with oracle on %d field(s): %s",
-		len(diffs), strings.Join(diffs, "; "))
+		len(d.diffs), strings.Join(d.diffs, "; "))
 }

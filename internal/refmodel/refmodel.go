@@ -2,7 +2,8 @@
 // deliberately slow, obviously-correct reference interpreter that replays a
 // tile-op stream ([]schedule.Op) against a fully-associative LRU scratchpad
 // with exact byte accounting and reports independent traffic, hit/miss,
-// eviction, spill and cycle counts.
+// eviction, spill and cycle counts — on one core (ReplaySchedules) or on
+// several cores sharing or splitting the scratchpad (ReplayMulti).
 //
 // The oracle re-derives everything observable from the op-stream semantics
 // (DESIGN.md §3f): which accesses hit or miss, what traffic each miss and
@@ -13,14 +14,16 @@
 // parameters, not engine logic, and sharing them keeps the comparison
 // bit-exact instead of bit-close.
 //
-// internal/sim is the fast engine; this package is the slow specification.
-// Every counter the two produce must agree bit-exactly on every op stream
-// (internal/proptest asserts this on hundreds of random cases per run, and
+// internal/sim holds the only engines — the compiled single-core and
+// multi-core engines and the resolved-trace replay built on them; this
+// package is the slow specification. Every counter they produce must agree
+// bit-exactly with the oracle on every op stream (internal/proptest asserts
+// this on hundreds of random cases per run for each engine, and
 // `validate -refcheck` on every golden workload). The implementations are
 // kept structurally different on purpose: the engine threads accounting
-// through an incremental step function and an intrusive-list LRU, while the
-// oracle lowers each op to an explicit access list and replays it against
-// an O(n)-scan residency slice.
+// through an incremental step function over interned tile IDs and an
+// intrusive-list LRU, while the oracle lowers each op to an explicit access
+// list and replays it against an O(n)-scan residency slice keyed by tile.
 package refmodel
 
 import (
@@ -79,7 +82,7 @@ type access struct {
 }
 
 // lower translates one tile op into its ordered access list — the
-// specification of what Engine.step does, written as data. The order
+// specification of what the engine's step does, written as data. The order
 // matters: it fixes LRU recency and therefore who gets evicted.
 func lower(op *schedule.Op, free bool) []access {
 	acc := make([]access, 0, 4)
@@ -103,16 +106,9 @@ func lower(op *schedule.Op, free bool) []access {
 	return acc
 }
 
-// Replay is the reference interpreter. Like sim.Engine, scratchpad state
-// persists across Run calls; Flush models a kernel boundary.
-type Replay struct {
-	arr  systolic.Array
-	chn  dram.Channel
-	spm  *lruSet
-	live map[schedule.TileKey]int64
-	opts Options
-
-	// Two-stage pipeline recurrence (double buffering, prefetch depth 2).
+// pipe is one core's two-stage pipeline recurrence (double buffering,
+// prefetch depth 2) plus that core's tallies.
+type pipe struct {
 	memDone     int64
 	compDone    int64
 	prevCompEnd int64
@@ -120,106 +116,158 @@ type Replay struct {
 	c Counts
 }
 
-// New builds a reference interpreter for cfg. The residency capacity is the
-// streaming half of the scratchpad, exactly as the engine models it.
-func New(cfg config.NPU, opts Options) *Replay {
+// machine holds what every core of a replay shares: the hardware cost
+// primitives, the live partial-sum table and, on a multi-core replay, the
+// record of which core placed each resident tile. Liveness and placement
+// are keyed by tile, not by buffer: a tile key names one tensor tile
+// whichever core touches it.
+type machine struct {
+	arr  systolic.Array
+	chn  dram.Channel
+	live map[schedule.TileKey]int64
+	opts Options
+
+	// loadedBy maps each resident tile to the core that placed it; nil on a
+	// single core. A hit on a tile another core placed is a shared hit.
+	loadedBy   map[schedule.TileKey]int
+	sharedHits int64
+}
+
+func newMachine(cfg config.NPU, opts Options) machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Replay{
+	return machine{
 		arr: systolic.New(cfg),
 		chn: dram.Channel{
-			BytesPerCycle: cfg.BytesPerCycle(),
+			BytesPerCycle: cfg.BytesPerCycle(), // per core
 			BurstLatency:  cfg.DRAMLatency,
 		},
-		spm:  newLRUSet(cfg.SPMBytes / 2),
 		live: make(map[schedule.TileKey]int64),
 		opts: opts,
 	}
 }
 
-// Flush empties the scratchpad without touching pipeline time or counters —
-// the kernel boundary between schedules.
-func (r *Replay) Flush() {
-	r.spm.flush()
-	clear(r.live)
-}
-
-// Counts returns the accumulated tallies of all Run calls.
-func (r *Replay) Counts() Counts {
-	c := r.c
-	c.Cycles = r.compDone
-	c.Hits = r.spm.hits
-	c.Misses = r.spm.misses
-	c.Evictions = r.spm.evictions
-	return c
-}
-
-// Run replays one op stream, continuing the pipeline from previous calls.
-func (r *Replay) Run(ops []schedule.Op) {
-	for i := range ops {
-		r.step(&ops[i])
+// flush empties the given residency sets and forgets all liveness and
+// placement — a kernel boundary. Pipeline time and counters carry on.
+func (m *machine) flush(sets ...*lruSet) {
+	for _, s := range sets {
+		s.flush()
 	}
+	clear(m.live)
+	clear(m.loadedBy)
 }
 
-// step replays a single tile op: lower it to accesses, apply them to the
-// residency set while tallying traffic, then advance the pipeline.
-func (r *Replay) step(op *schedule.Op) {
+// step replays a single tile op issued by core against residency set spm:
+// lower it to accesses, apply them while tallying traffic into p, then
+// advance p's pipeline.
+func (m *machine) step(op *schedule.Op, core int, spm *lruSet, p *pipe) {
 	var fetchBytes, writeBytes, spillBytes int64
 	var bursts, spillBursts int
 
 	place := func(t schedule.Tile) {
-		for _, v := range r.spm.insert(t.Key, t.Bytes) {
-			bytes, isLive := r.live[v]
+		for _, v := range spm.insert(t.Key, t.Bytes) {
+			delete(m.loadedBy, v)
+			bytes, isLive := m.live[v]
 			if !isLive {
 				continue // clean tile: dropping it costs nothing
 			}
 			spillBytes += bytes
 			spillBursts++
-			r.c.Traffic.AddWrite(dram.ClassAcc, bytes)
-			r.c.Spills++
+			p.c.Traffic.AddWrite(dram.ClassAcc, bytes)
+			p.c.Spills++
+		}
+		if m.loadedBy != nil {
+			m.loadedBy[t.Key] = core
 		}
 	}
 
-	for _, a := range lower(op, r.opts.FreeDYOnDW) {
+	for _, a := range lower(op, m.opts.FreeDYOnDW) {
 		switch a.kind {
 		case accAlloc:
 			if a.live {
-				r.live[a.tile.Key] = a.tile.Bytes
+				m.live[a.tile.Key] = a.tile.Bytes
 			}
 			place(a.tile)
 		case accLoad, accLoadFree:
-			if r.spm.touch(a.tile.Key) {
+			if spm.touch(a.tile.Key) {
+				// Only operand hits count as sharing; a re-accumulated
+				// partial is the issuing core's own.
+				if by, ok := m.loadedBy[a.tile.Key]; ok && by != core && a.tile.Key != op.Out.Key {
+					m.sharedHits++
+				}
 				continue
 			}
 			if a.kind == accLoad {
 				fetchBytes += a.tile.Bytes
 				bursts++
-				r.c.Traffic.AddRead(a.class, a.tile.Bytes)
+				p.c.Traffic.AddRead(a.class, a.tile.Bytes)
 			}
 			place(a.tile)
 		case accDrain:
 			writeBytes += a.tile.Bytes
 			bursts++
-			r.c.Traffic.AddWrite(a.tile.Key.Class, a.tile.Bytes)
-			r.spm.remove(a.tile.Key)
-			delete(r.live, a.tile.Key)
+			p.c.Traffic.AddWrite(a.tile.Key.Class, a.tile.Bytes)
+			spm.remove(a.tile.Key)
+			delete(m.live, a.tile.Key)
+			delete(m.loadedBy, a.tile.Key)
 		}
 	}
 
-	memCycles := r.chn.TransferCycles(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
-	compCycles := r.arr.TileCycles(op.Tm, op.Tk, op.Tn)
+	memCycles := m.chn.TransferCycles(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
+	compCycles := m.arr.TileCycles(op.Tm, op.Tk, op.Tn)
 
 	// The DMA stage may run at most one op ahead of compute.
-	memEnd := max(r.memDone, r.prevCompEnd) + memCycles
-	compEnd := max(r.compDone, memEnd) + compCycles
-	r.memDone = memEnd
-	r.prevCompEnd = r.compDone
-	r.compDone = compEnd
+	memEnd := max(p.memDone, p.prevCompEnd) + memCycles
+	compEnd := max(p.compDone, memEnd) + compCycles
+	p.memDone = memEnd
+	p.prevCompEnd = p.compDone
+	p.compDone = compEnd
 
-	r.c.ComputeCycles += compCycles
-	r.c.MemCycles += memCycles
-	r.c.Ops++
+	p.c.ComputeCycles += compCycles
+	p.c.MemCycles += memCycles
+	p.c.Ops++
+}
+
+// counts returns p's tallies with the makespan and spm's residency stats
+// filled in.
+func (p *pipe) counts(spm *lruSet) Counts {
+	c := p.c
+	c.Cycles = p.compDone
+	if spm != nil {
+		c.Hits = spm.hits
+		c.Misses = spm.misses
+		c.Evictions = spm.evictions
+	}
+	return c
+}
+
+// Replay is the reference interpreter for one core. Scratchpad state
+// persists across Run calls; Flush models a kernel boundary.
+type Replay struct {
+	m   machine
+	spm *lruSet
+	p   pipe
+}
+
+// New builds a reference interpreter for cfg. The residency capacity is the
+// streaming half of the scratchpad, exactly as the engine models it.
+func New(cfg config.NPU, opts Options) *Replay {
+	return &Replay{m: newMachine(cfg, opts), spm: newLRUSet(cfg.SPMBytes / 2)}
+}
+
+// Flush empties the scratchpad without touching pipeline time or counters —
+// the kernel boundary between schedules.
+func (r *Replay) Flush() { r.m.flush(r.spm) }
+
+// Counts returns the accumulated tallies of all Run calls.
+func (r *Replay) Counts() Counts { return r.p.counts(r.spm) }
+
+// Run replays one op stream, continuing the pipeline from previous calls.
+func (r *Replay) Run(ops []schedule.Op) {
+	for i := range ops {
+		r.m.step(&ops[i], 0, r.spm, &r.p)
+	}
 }
 
 // ReplaySchedules replays the given schedules in order on a fresh
@@ -234,6 +282,92 @@ func ReplaySchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) 
 		r.Run(s.Ops)
 	}
 	return r.Counts()
+}
+
+// MultiCounts is the oracle's tally of a multi-core replay, mirroring
+// sim.MultiResult field for field; see CompareMulti.
+type MultiCounts struct {
+	// Cycles is the slowest core's completion time.
+	Cycles int64
+	// PerCore holds each core's tallies. Residency stats are reported on
+	// core 0 only: those of the shared set, or of core 0's private slice.
+	PerCore []Counts
+	// Traffic is the sum of every core's traffic.
+	Traffic dram.Traffic
+	// SharedHits counts operand hits on tiles a different core placed;
+	// always zero under private placement.
+	SharedHits int64
+}
+
+// ReplayMulti is the oracle twin of sim.RunMultiPhased: phases of
+// concurrent per-core op streams, each core with its own pipeline and DRAM
+// slice. With shared placement one residency set spans the whole
+// scratchpad; otherwise each core owns a private per-core slice. Every
+// residency set is flushed between phases while pipeline time carries
+// over. Within a phase the streams are merged round-robin, one op per core
+// per round, and the core served first rotates by one every round.
+func ReplayMulti(cfg config.NPU, opts Options, phases [][][]schedule.Op, shared bool) MultiCounts {
+	if len(phases) == 0 {
+		panic("refmodel: no phases")
+	}
+	cores := 0
+	for _, streams := range phases {
+		if len(streams) == 0 || len(streams) > cfg.Cores {
+			panic(fmt.Sprintf("refmodel: phase has %d streams for %d cores", len(streams), cfg.Cores))
+		}
+		cores = max(cores, len(streams))
+	}
+	m := newMachine(cfg, opts)
+	m.loadedBy = make(map[schedule.TileKey]int)
+	sets := make([]*lruSet, cores)
+	for c := range sets {
+		switch {
+		case !shared:
+			sets[c] = newLRUSet(cfg.SPMBytes / 2)
+		case c == 0:
+			sets[c] = newLRUSet(cfg.TotalSPMBytes() / 2)
+		default:
+			sets[c] = sets[0]
+		}
+	}
+	pipes := make([]pipe, cores)
+
+	for pi, streams := range phases {
+		if pi > 0 {
+			m.flush(sets...)
+		}
+		next := make([]int, len(streams))
+		for round := 0; ; round++ {
+			progressed := false
+			for i := range streams {
+				c := (round + i) % len(streams)
+				if next[c] == len(streams[c]) {
+					continue
+				}
+				m.step(&streams[c][next[c]], c, sets[c], &pipes[c])
+				next[c]++
+				progressed = true
+			}
+			if !progressed {
+				break
+			}
+		}
+	}
+
+	out := MultiCounts{PerCore: make([]Counts, cores)}
+	if shared {
+		out.SharedHits = m.sharedHits
+	}
+	for c := range pipes {
+		var stats *lruSet
+		if c == 0 {
+			stats = sets[0]
+		}
+		out.PerCore[c] = pipes[c].counts(stats)
+		out.Traffic.Merge(pipes[c].c.Traffic)
+		out.Cycles = max(out.Cycles, pipes[c].compDone)
+	}
+	return out
 }
 
 // lruSet is the oracle's fully-associative byte-capacity LRU residency set:

@@ -201,3 +201,94 @@ func TestCompareReportsEveryDivergence(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMultiSharedPlacement hand-checks the multi-core oracle on two
+// cores issuing the same single-tile dX op: under shared placement the
+// second core finds both operands placed by the first (two shared hits,
+// one fetch each); under private placement each core fetches its own copy
+// and nothing is shared.
+func TestReplayMultiSharedPlacement(t *testing.T) {
+	p := params(tensor.Dims{M: 2, K: 2, N: 2}, schedule.Tiling{Tm: 2, Tk: 2, Tn: 2})
+	op := []schedule.Op{p.DXOp(0, 0, 0, 1)}
+	cfg := testCfg(4096)
+	cfg.Cores = 2
+	phases := [][][]schedule.Op{{op, op}}
+
+	shared := ReplayMulti(cfg, Options{}, phases, true)
+	if shared.SharedHits != 2 {
+		t.Fatalf("shared placement: %d shared hits, want 2", shared.SharedHits)
+	}
+	if got := shared.Traffic.Read[dram.ClassDY] + shared.Traffic.Read[dram.ClassW]; got != 32 {
+		t.Fatalf("shared placement read %d operand bytes, want 32 (one fetch per tile)", got)
+	}
+	if c0, c1 := shared.PerCore[0], shared.PerCore[1]; c0.Hits != 2 || c0.Misses != 2 || c1.Hits != 0 || c1.Misses != 0 {
+		t.Fatalf("residency stats must sit on core 0 only: core0 %+v core1 %+v", c0, c1)
+	}
+
+	private := ReplayMulti(cfg, Options{}, phases, false)
+	if private.SharedHits != 0 {
+		t.Fatalf("private placement: %d shared hits, want 0", private.SharedHits)
+	}
+	if got := private.Traffic.Read[dram.ClassDY] + private.Traffic.Read[dram.ClassW]; got != 64 {
+		t.Fatalf("private placement read %d operand bytes, want 64 (one fetch per tile per core)", got)
+	}
+	// Each core's own pipeline: one op, and the makespan is the slower core.
+	for c, pc := range private.PerCore {
+		if pc.Ops != 1 || pc.Cycles > private.Cycles {
+			t.Fatalf("core %d: %+v against makespan %d", c, pc, private.Cycles)
+		}
+	}
+}
+
+// TestReplayMultiPhaseFlush checks the phase boundary: the same stream run
+// in two phases on one core refetches everything after the flush, while
+// pipeline time carries over.
+func TestReplayMultiPhaseFlush(t *testing.T) {
+	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	dx := schedule.BaselineDX(p)
+	cfg := testCfg(64 * 1024)
+	one := ReplayMulti(cfg, Options{}, [][][]schedule.Op{{dx}}, true)
+	two := ReplayMulti(cfg, Options{}, [][][]schedule.Op{{dx}, {dx}}, true)
+	if two.Traffic.TotalRead() != 2*one.Traffic.TotalRead() {
+		t.Fatalf("two phases read %d bytes, want %d", two.Traffic.TotalRead(), 2*one.Traffic.TotalRead())
+	}
+	if two.Cycles <= one.Cycles {
+		t.Fatalf("second phase did not extend the makespan: %d vs %d", two.Cycles, one.Cycles)
+	}
+}
+
+// TestCompareMultiNamesFields corrupts multi-core fields and checks
+// CompareMulti names each one, per-core fields with their core index.
+func TestCompareMultiNamesFields(t *testing.T) {
+	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	cfg := testCfg(4096)
+	cfg.Cores = 2
+	phases := [][][]schedule.Op{{schedule.BaselineDX(p), schedule.BaselineDXOrdered(p, schedule.DXOrderKM)}}
+	res := sim.RunMultiPhased(cfg, sim.Options{}, phases, true)
+	want := ReplayMulti(cfg, Options{}, phases, true)
+	if err := CompareMulti(res, want); err != nil {
+		t.Fatalf("clean comparison failed: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*sim.MultiResult)
+	}{
+		{"SharedHits", func(r *sim.MultiResult) { r.SharedHits++ }},
+		{"Cycles", func(r *sim.MultiResult) { r.Cycles-- }},
+		{"Traffic.Read[dY]", func(r *sim.MultiResult) { r.Traffic.Read[dram.ClassDY]++ }},
+		{"core1.MemCycles", func(r *sim.MultiResult) { r.PerCore[1].MemCycles++ }},
+		{"core0.SPM.Hits", func(r *sim.MultiResult) { r.PerCore[0].SPM.Hits++ }},
+		{"len(PerCore)", func(r *sim.MultiResult) { r.PerCore = r.PerCore[:1] }},
+	} {
+		bad := res
+		bad.PerCore = append([]sim.Result(nil), res.PerCore...)
+		tc.corrupt(&bad)
+		err := CompareMulti(bad, want)
+		if err == nil {
+			t.Fatalf("%s corruption not detected", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("%s corruption reported as %q", tc.name, err)
+		}
+	}
+}

@@ -30,26 +30,26 @@ func clampChunk(chunk, total int) int {
 // dY is read once per layer, W once per chunk; the live partials are
 // chunkRows x K.
 func PartialStationaryDX(p TileParams, chunkRows int) []Op {
-	return Collect(PartialStationaryDXStream(p, chunkRows), p.OpCount())
+	return p.Schedule("", PartialStationaryDXWalk(chunkRows)).Ops
 }
 
 // PartialStationaryDXCols generates the dX GEMM with column-chunked
 // partials (chunks over K): W is read once per layer, dY once per chunk;
 // the live partials are M x chunkCols.
 func PartialStationaryDXCols(p TileParams, chunkCols int) []Op {
-	return Collect(PartialStationaryDXColsStream(p, chunkCols), p.OpCount())
+	return p.Schedule("", PartialStationaryDXColsWalk(chunkCols)).Ops
 }
 
 // PartialStationaryDW generates the dW GEMM with row-chunked partials
 // (chunks over K): X is read once per layer, dY once per chunk; the live
 // partials are chunkRows x N.
 func PartialStationaryDW(p TileParams, chunkRows int) []Op {
-	return Collect(PartialStationaryDWStream(p, chunkRows), p.OpCount())
+	return p.Schedule("", PartialStationaryDWWalk(chunkRows)).Ops
 }
 
 // PartialStationaryDWCols generates the dW GEMM with column-chunked
 // partials (chunks over N): dY is read once per layer, X once per chunk;
 // the live partials are K x chunkCols.
 func PartialStationaryDWCols(p TileParams, chunkCols int) []Op {
-	return Collect(PartialStationaryDWColsStream(p, chunkCols), p.OpCount())
+	return p.Schedule("", PartialStationaryDWColsWalk(chunkCols)).Ops
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // This file lowers tile-op streams into a dense, execution-ready program
-// form (DESIGN.md §3g). The interpreter (sim.Engine) resolves every access
-// through map-keyed residency lookups on the 16-byte TileKey; the compiled
-// form interns each distinct key into a small integer once, so the engine
-// can run against flat arrays with zero map traffic and zero allocations in
-// steady state. Everything derivable from the op alone — byte sizes, tensor
+// form (DESIGN.md §3g). Residency is defined over the 16-byte TileKey (the
+// refmodel oracle resolves every access by key); the compiled form interns
+// each distinct key into a small integer once, so the engine can run
+// against flat arrays with zero map traffic and zero allocations in steady
+// state. Everything derivable from the op alone — byte sizes, tensor
 // classes, the OutFirst/OutLast protocol bits, whether an operand is a dY
 // read of a dW op (the Section 3.3 free-dY predicate) — is precomputed at
 // compile time into CompiledOp.
@@ -263,20 +263,9 @@ func (c *Compiler) CompileOps(ops []Op) []CompiledOp {
 	return code
 }
 
-// CompileStream lowers a stream without materializing it: the only
-// per-stream allocation is the compiled code itself.
-func (c *Compiler) CompileStream(s OpStream) []CompiledOp {
-	var code []CompiledOp
-	s(func(op *Op) bool {
-		code = append(code, c.Lower(op))
-		return true
-	})
-	return code
-}
-
 // Compile lowers a schedule sequence into one program. Each schedule
 // becomes a kernel (flushed boundary); tile IDs are shared across kernels
-// so cross-kernel aliasing matches the interpreter's key-based residency.
+// so cross-kernel aliasing matches key-based residency.
 func Compile(scheds ...Schedule) Program {
 	c := NewCompiler()
 	var n int
@@ -293,30 +282,6 @@ func Compile(scheds ...Schedule) Program {
 			prog.Code = append(prog.Code, c.Lower(&s.Ops[i]))
 		}
 		prog.Kernels = append(prog.Kernels, Kernel{Name: s.Name, Start: start, End: len(prog.Code)})
-	}
-	prog.Table = c.Table()
-	return prog
-}
-
-// StreamKernel names one kernel's op stream for CompileStreams.
-type StreamKernel struct {
-	Name string
-	Ops  OpStream
-}
-
-// CompileStreams is Compile for pull-based generators: the program is built
-// directly from the streams, so peak memory never holds a materialized
-// []Op.
-func CompileStreams(kernels ...StreamKernel) Program {
-	c := NewCompiler()
-	prog := Program{Kernels: make([]Kernel, 0, len(kernels))}
-	for _, k := range kernels {
-		start := len(prog.Code)
-		k.Ops(func(op *Op) bool {
-			prog.Code = append(prog.Code, c.Lower(op))
-			return true
-		})
-		prog.Kernels = append(prog.Kernels, Kernel{Name: k.Name, Start: start, End: len(prog.Code)})
 	}
 	prog.Table = c.Table()
 	return prog

@@ -161,20 +161,3 @@ func TestCompileKernelBounds(t *testing.T) {
 		t.Error("no dY operand found in the dW kernel")
 	}
 }
-
-// TestCompileStreamsMatchesCompile checks the stream-compiled program is
-// identical to the slice-compiled one.
-func TestCompileStreamsMatchesCompile(t *testing.T) {
-	p := compileParams()
-	want := Compile(
-		Schedule{Name: "dx", Ops: PartialStationaryDX(p, 2)},
-		Schedule{Name: "dw", Ops: PartialStationaryDWCols(p, 2)},
-	)
-	got := CompileStreams(
-		StreamKernel{Name: "dx", Ops: PartialStationaryDXStream(p, 2)},
-		StreamKernel{Name: "dw", Ops: PartialStationaryDWColsStream(p, 2)},
-	)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("CompileStreams differs from Compile")
-	}
-}

@@ -6,9 +6,9 @@ import "fmt"
 // partial-stationary orders, the paper's fused and rearranged orders — is
 // an order over one fixed set of tile ops, each a pure function of its
 // kind and grid point (mo, ko, no). A Walk is such an order written once as
-// a grid-coordinate enumeration. Two consumers share it: TileParams.Stream
-// turns each step into an Op (the OpStream/[]Op generators), and
-// GatherProgram gathers each step's pre-lowered CompiledOp from a Basis
+// a grid-coordinate enumeration. Two consumers share it: TileParams.Schedule
+// turns each step into an Op (the []Op generators), and GatherProgram
+// gathers each step's pre-lowered CompiledOp from a Basis
 // (basis.go). So no loop nest is written twice, and a gathered program and
 // the emitted schedule of the same walk agree op for op.
 
@@ -23,6 +23,13 @@ const (
 
 // Grid is a tile-grid extent: the tile counts along M, K and N.
 type Grid struct{ M, K, N int }
+
+// OpCount returns the number of ops any single-GEMM generator emits for p:
+// one op per tile-grid point.
+func (p TileParams) OpCount() int {
+	mt, kt, nt := p.Tiling.Counts(p.Dims)
+	return mt * kt * nt
+}
 
 // Grid returns p's tile grid.
 func (p TileParams) Grid() Grid {
@@ -209,18 +216,6 @@ func (c *cursor) next(s *Step) bool {
 	c.hi[a] = min(c.lo[a]+c.chunk, c.ext[a])
 	c.pos[a] = c.lo[a]
 	return true
-}
-
-// Stream returns the op stream of w over p's grid.
-func (p TileParams) Stream(w Walk) OpStream {
-	return func(yield func(*Op) bool) {
-		g := p.Grid()
-		var op Op
-		w.Each(g, func(s Step) bool {
-			op = p.stepOp(s, g)
-			return yield(&op)
-		})
-	}
 }
 
 // Schedule materializes w over p's grid as a named schedule.

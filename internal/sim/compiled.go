@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"igosim/internal/config"
 	"igosim/internal/dram"
 	"igosim/internal/runner"
@@ -15,157 +13,16 @@ import (
 // Compiled execution (DESIGN.md §3g). schedule.Compile lowers a kernel
 // sequence into a dense program — tile keys interned to int32 IDs, byte
 // sizes, classes and protocol flags resolved per op — and CompiledEngine
-// replays it against array-indexed residency state: an intrusive
-// doubly-linked LRU over the tile-ID space with no map lookups and no
-// allocations in steady state. The engine is a cycle- and counter-exact
-// replacement for the interpreter (Engine.step); PropCompiledEquivalence
-// and the refmodel oracle hold the two to bit-exact agreement, and traced
-// runs emit the identical event sequence so the golden trace bytes and
-// Sink.Check reconciliation are unchanged.
+// runs it against array-indexed residency state (spm.Residency): an
+// intrusive doubly-linked LRU over the tile-ID space with no map lookups
+// and no allocations in steady state. The refmodel oracle holds the engine
+// to bit-exact agreement on every counter, and the trace goldens under
+// testdata pin its event sequence byte for byte.
 
-// nilID terminates the intrusive LRU list.
-const nilID = int32(-1)
-
-// residency is the compiled engines' scratchpad model: spm.Buffer semantics
-// (byte-capacity LRU, hit/miss/eviction stats, identical eviction order)
-// over dense tile-ID arrays instead of a map of heap nodes.
-type residency struct {
-	capacity, used int64
-	head, tail     int32
-	prev, next     []int32
-	resident       []bool
-	resBytes       []int64
-	stats          spm.Stats
-	victims        []int32 // eviction scratch, reused across inserts
-}
-
-// grow sizes the arrays for a table of n tiles, reusing capacity. Contents
-// are stale afterwards; callers must reset before use.
-func (r *residency) grow(n int) {
-	if cap(r.prev) >= n {
-		r.prev = r.prev[:n]
-		r.next = r.next[:n]
-		r.resident = r.resident[:n]
-		r.resBytes = r.resBytes[:n]
-		return
-	}
-	r.prev = make([]int32, n)
-	r.next = make([]int32, n)
-	r.resident = make([]bool, n)
-	r.resBytes = make([]int64, n)
-}
-
-// reset empties the residency set. Stats are preserved (mirroring
-// spm.Buffer.Flush); zero them separately when starting a fresh run.
-func (r *residency) reset() {
-	clear(r.resident)
-	r.used = 0
-	r.head, r.tail = nilID, nilID
-}
-
-// touch marks id as most recently used if resident, counting a hit or miss.
-//
-//lint:hotpath
-func (r *residency) touch(id schedule.TileID) bool {
-	i := int32(id)
-	if !r.resident[i] {
-		r.stats.Misses++
-		return false
-	}
-	r.stats.Hits++
-	if r.head != i {
-		r.unlink(i)
-		r.pushFront(i)
-	}
-	return true
-}
-
-// insert adds id, evicting LRU tiles as needed. The returned victim slice
-// (oldest first, valid until the next insert) lists evicted IDs; changed is
-// false when id was already resident (recency refreshed, nothing evicted) —
-// the cases spm.Buffer.Insert reports by returning early.
-//
-//lint:hotpath
-func (r *residency) insert(id schedule.TileID, bytes int64) (evicted []int32, changed bool) {
-	i := int32(id)
-	if bytes <= 0 {
-		panic(fmt.Sprintf("sim: invalid tile size %d", bytes))
-	}
-	if bytes > r.capacity {
-		panic(fmt.Sprintf("sim: tile of %d bytes exceeds SPM capacity %d", bytes, r.capacity))
-	}
-	if r.resident[i] {
-		if r.head != i {
-			r.unlink(i)
-			r.pushFront(i)
-		}
-		return nil, false
-	}
-	r.victims = r.victims[:0]
-	for r.used+bytes > r.capacity {
-		v := r.tail
-		if v == nilID {
-			break
-		}
-		r.unlink(v)
-		r.resident[v] = false
-		r.used -= r.resBytes[v]
-		r.stats.Evictions++
-		r.victims = append(r.victims, v)
-	}
-	r.resident[i] = true
-	r.resBytes[i] = bytes
-	r.used += bytes
-	r.pushFront(i)
-	return r.victims, true
-}
-
-// remove drops id, reporting whether it was resident.
-//
-//lint:hotpath
-func (r *residency) remove(id schedule.TileID) bool {
-	i := int32(id)
-	if !r.resident[i] {
-		return false
-	}
-	r.unlink(i)
-	r.resident[i] = false
-	r.used -= r.resBytes[i]
-	return true
-}
-
-//lint:hotpath
-func (r *residency) unlink(i int32) {
-	p, n := r.prev[i], r.next[i]
-	if p != nilID {
-		r.next[p] = n
-	} else {
-		r.head = n
-	}
-	if n != nilID {
-		r.prev[n] = p
-	} else {
-		r.tail = p
-	}
-}
-
-//lint:hotpath
-func (r *residency) pushFront(i int32) {
-	r.prev[i] = nilID
-	r.next[i] = r.head
-	if r.head != nilID {
-		r.prev[r.head] = i
-	}
-	r.head = i
-	if r.tail == nilID {
-		r.tail = i
-	}
-}
-
-// CompiledEngine executes compiled programs on one NPU core. It is the
-// fast path behind RunSchedules; the interpreter (Engine) remains as the
-// checkable slow path. Reuse pattern: Init (per configuration) -> Bind (per
-// program) -> Execute; Result reads the accumulated outcome.
+// CompiledEngine executes compiled programs on one NPU core; it is the
+// engine behind RunSchedules and RunProgram. Reuse pattern: Init (per
+// configuration) -> Bind (per program) -> Execute; Result reads the
+// accumulated outcome.
 type CompiledEngine struct {
 	cfg  config.NPU
 	arr  systolic.Array
@@ -173,7 +30,7 @@ type CompiledEngine struct {
 	opts Options
 	tr   *trace.Track // nil when tracing is disabled
 
-	resv      residency
+	resv      spm.Residency
 	liveBytes []int64 // active partial-sum bytes per tile ID (0 = not live)
 	keys      []schedule.TileKey
 	comp      []int64 // per-op systolic cycles, precomputed at Bind
@@ -217,8 +74,8 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 		BurstLatency:  cfg.DRAMLatency,
 	}
 	// Half of the SPM is the double-buffer fill target; the residency set
-	// models the other half (Section 2.2) — same split as the interpreter.
-	e.resv.capacity = cfg.SPMBytes / 2
+	// models the other half (Section 2.2).
+	e.resv.SetCapacity(cfg.SPMBytes / 2)
 	e.opts = opts
 	e.freeDY = opts.FreeDYOnDW
 	e.tr = nil
@@ -228,14 +85,14 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 			label = "engine"
 		}
 		e.tr = opts.Trace.NewTrack(label)
-		e.tr.SetCapacity(e.resv.capacity)
+		e.tr.SetCapacity(e.resv.Capacity())
 	}
 	e.prog = nil
 	e.keys = nil
 	e.rec, e.recOK = nil, false
 	e.recTm, e.recTk, e.recTn = -1, -1, -1
 	e.recDim = 0
-	e.resv.stats = spm.Stats{}
+	e.resv.Stats = spm.Stats{}
 	e.memDone, e.compDone, e.prevCompEnd = 0, 0, 0
 	e.res = Result{}
 }
@@ -246,13 +103,12 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 // or Reset on a fresh measurement.
 func (e *CompiledEngine) Bind(prog *schedule.Program) {
 	n := prog.Table.Len()
-	e.resv.grow(n)
+	e.resv.Resize(n)
 	if cap(e.liveBytes) >= n {
 		e.liveBytes = e.liveBytes[:n]
 	} else {
 		e.liveBytes = make([]int64, n)
 	}
-	e.resv.reset()
 	clear(e.liveBytes)
 	e.keys = prog.Table.Keys
 	e.prog = prog
@@ -279,17 +135,19 @@ func (e *CompiledEngine) Bind(prog *schedule.Program) {
 // Reset clears scratchpad contents, pipeline state and accumulated results,
 // keeping the configuration and bound program.
 func (e *CompiledEngine) Reset() {
-	e.resv.reset()
-	e.resv.stats = spm.Stats{}
+	e.resv.Flush()
+	e.resv.Stats = spm.Stats{}
 	clear(e.liveBytes)
 	e.memDone, e.compDone, e.prevCompEnd = 0, 0, 0
 	e.res = Result{}
 }
 
-// flushSPM empties the scratchpad at a kernel boundary, mirroring
-// Engine.FlushSPM (including the occupancy sample a traced run records).
+// flushSPM empties the scratchpad at a kernel boundary. Sequential
+// execution frees each kernel's staged buffers, which is exactly why the
+// conventional backward pass cannot reuse dY across the two gradient GEMMs
+// (Section 3.2). A traced run records the emptied occupancy.
 func (e *CompiledEngine) flushSPM() {
-	e.resv.reset()
+	e.resv.Flush()
 	clear(e.liveBytes)
 	if e.tr != nil {
 		e.tr.Occupancy(e.memDone, 0)
@@ -326,12 +184,14 @@ func (e *CompiledEngine) RunProgram(prog *schedule.Program) {
 func (e *CompiledEngine) Result() Result {
 	r := e.res
 	r.Cycles = e.compDone
-	r.SPM = e.resv.stats
+	r.SPM = e.resv.Stats
 	return r
 }
 
-// step mirrors Engine.step exactly — same residency decisions, counter
-// updates, pipeline advance and trace-event sequence — over compiled ops.
+// step executes a single compiled tile op through the two-stage pipeline.
+// Spill write-backs are accounted separately from ordinary fetches and
+// drains so the trace layer can attribute stall cycles to scratchpad
+// pressure; the transfer timing itself depends only on the totals.
 //
 //lint:hotpath
 func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
@@ -346,7 +206,7 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 		}
 		e.insert(out, op.OutBytes, &spillBytes, &spillBursts)
 	} else {
-		if !e.resv.touch(out) {
+		if !e.resv.Touch(int32(out)) {
 			// The partial was spilled earlier; bring it back.
 			fetchBytes += op.OutBytes
 			bursts++
@@ -362,7 +222,7 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 	if e.tr != nil {
 		e.tr.Access(e.keys[op.A])
 	}
-	if !e.resv.touch(op.A) {
+	if !e.resv.Touch(int32(op.A)) {
 		if !(e.freeDY && op.Flags&schedule.FlagFreeDYA != 0) {
 			fetchBytes += op.ABytes
 			bursts++
@@ -373,7 +233,7 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 	if e.tr != nil {
 		e.tr.Access(e.keys[op.B])
 	}
-	if !e.resv.touch(op.B) {
+	if !e.resv.Touch(int32(op.B)) {
 		if !(e.freeDY && op.Flags&schedule.FlagFreeDYB != 0) {
 			fetchBytes += op.BBytes
 			bursts++
@@ -387,8 +247,8 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 		writeBytes += op.OutBytes
 		bursts++
 		e.res.Traffic.AddWrite(op.OutClass, op.OutBytes)
-		if e.resv.remove(out) && e.tr != nil {
-			e.tr.Occupancy(e.memDone, e.resv.used)
+		if e.resv.Remove(int32(out)) && e.tr != nil {
+			e.tr.Occupancy(e.memDone, e.resv.Used())
 		}
 		e.liveBytes[out] = 0
 	}
@@ -422,18 +282,17 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 }
 
 // insert places a tile in the residency set, charging spill writes for any
-// live partial-sum tiles that get evicted. Trace events keep the
-// interpreter's order: the occupancy sample (spm.Buffer.OnChange fires as
-// Insert returns) precedes the spill instants (charged by the caller).
+// live partial-sum tiles that get evicted. The occupancy sample precedes
+// the spill instants in the trace.
 //
 //lint:hotpath
 func (e *CompiledEngine) insert(id schedule.TileID, bytes int64, spillBytes *int64, spillBursts *int) {
-	victims, changed := e.resv.insert(id, bytes)
+	victims, changed := e.resv.Insert(int32(id), bytes)
 	if !changed {
 		return
 	}
 	if e.tr != nil {
-		e.tr.Occupancy(e.memDone, e.resv.used)
+		e.tr.Occupancy(e.memDone, e.resv.Used())
 	}
 	for _, v := range victims {
 		vb := e.liveBytes[v]
@@ -448,11 +307,11 @@ func (e *CompiledEngine) insert(id schedule.TileID, bytes int64, spillBytes *int
 	}
 }
 
-// compiledRunner bundles the per-call state of the compiled path — engine,
+// compiledRunner bundles the per-call state of RunSchedules — engine,
 // compiler and program buffers — so a pooled runner executes a steady
-// stream of RunSchedules calls with no per-call allocations: the interning
-// table, code buffer, residency arrays and cost table all grow to the
-// largest program a worker sees and are then reused.
+// stream of calls with no per-call allocations: the interning table, code
+// buffer, residency arrays and cost table all grow to the largest program
+// a worker sees and are then reused.
 type compiledRunner struct {
 	eng     CompiledEngine
 	comp    *schedule.Compiler
@@ -464,53 +323,24 @@ var compiledPool = runner.NewPool(func() *compiledRunner {
 	return &compiledRunner{comp: schedule.NewCompiler()}
 })
 
-// run compiles into the reusable buffers, executes, and leaves no dangling
-// references in the pooled state.
-func (cr *compiledRunner) run(cfg config.NPU, opts Options, compile func(*compiledRunner)) Result {
+// run lowers scheds into the reusable buffers, executes them, and leaves no
+// dangling references in the pooled state.
+func (cr *compiledRunner) run(cfg config.NPU, opts Options, scheds []schedule.Schedule) Result {
 	cr.comp.Reset()
 	cr.code = cr.code[:0]
 	cr.kernels = cr.kernels[:0]
-	compile(cr)
+	for _, s := range scheds {
+		start := len(cr.code)
+		for i := range s.Ops {
+			cr.code = append(cr.code, cr.comp.Lower(&s.Ops[i]))
+		}
+		cr.kernels = append(cr.kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(cr.code)})
+	}
 	prog := schedule.Program{Code: cr.code, Kernels: cr.kernels, Table: cr.comp.Table()}
 	e := &cr.eng
 	e.Init(cfg, opts)
 	e.RunProgram(&prog)
 	r := e.Result()
 	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view or sink
-	return r
-}
-
-// runSchedulesCompiled is RunSchedules' compiled path: lower, execute,
-// return the runner to the pool.
-func runSchedulesCompiled(cfg config.NPU, opts Options, scheds []schedule.Schedule) Result {
-	cr := compiledPool.Get()
-	r := cr.run(cfg, opts, func(cr *compiledRunner) {
-		for _, s := range scheds {
-			start := len(cr.code)
-			for i := range s.Ops {
-				cr.code = append(cr.code, cr.comp.Lower(&s.Ops[i]))
-			}
-			cr.kernels = append(cr.kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(cr.code)})
-		}
-	})
-	compiledPool.Put(cr)
-	return r
-}
-
-// runStreamsCompiled compiles kernels directly from their streams (no
-// materialized []Op) and executes the program.
-func runStreamsCompiled(cfg config.NPU, opts Options, kernels []schedule.StreamKernel) Result {
-	cr := compiledPool.Get()
-	r := cr.run(cfg, opts, func(cr *compiledRunner) {
-		for _, k := range kernels {
-			start := len(cr.code)
-			k.Ops(func(op *schedule.Op) bool {
-				cr.code = append(cr.code, cr.comp.Lower(op))
-				return true
-			})
-			cr.kernels = append(cr.kernels, schedule.Kernel{Name: k.Name, Start: start, End: len(cr.code)})
-		}
-	})
-	compiledPool.Put(cr)
 	return r
 }

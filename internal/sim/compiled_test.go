@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -11,8 +14,10 @@ import (
 	"igosim/internal/trace"
 )
 
+var update = flag.Bool("update", false, "rewrite the golden trace files")
+
 // tightCfg shrinks the scratchpad below the test layers' working sets so the
-// compiled/interpreted comparison covers evictions, spills and fetch-backs.
+// oracle comparison covers evictions, spills and fetch-backs.
 func tightCfg() config.NPU {
 	cfg := testCfg()
 	cfg.SPMBytes = 1 << 10
@@ -53,36 +58,14 @@ func testKernelSets() map[string][]schedule.Schedule {
 	}
 }
 
-// TestCompiledMatchesInterpreter holds the compiled engine to full Result
-// equality with the interpreter across configurations, kernel shapes and
-// the free-dY study toggle.
-func TestCompiledMatchesInterpreter(t *testing.T) {
-	cfgs := map[string]config.NPU{
-		"base":  testCfg(),
-		"tight": tightCfg(),
-		"burst": burstCfg(),
-	}
-	for cname, cfg := range cfgs {
-		for kname, scheds := range testKernelSets() {
-			for _, free := range []bool{false, true} {
-				want := RunSchedules(cfg, Options{FreeDYOnDW: free, Compiled: EngineInterpreted}, scheds...)
-				got := RunSchedules(cfg, Options{FreeDYOnDW: free, Compiled: EngineCompiled}, scheds...)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s freeDY=%v: compiled %+v != interpreted %+v",
-						cname, kname, free, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestCompiledSpillsUnderPressure guards that the equivalence above is not
-// vacuous: the tight configuration must actually exercise spills.
+// TestCompiledSpillsUnderPressure guards that the oracle comparison
+// (TestCompiledMatchesInterpreter) and the trace goldens are not vacuous:
+// the tight configuration must actually exercise spills.
 func TestCompiledSpillsUnderPressure(t *testing.T) {
 	scheds := testKernelSets()["paired-interleave"]
-	r := RunSchedules(tightCfg(), Options{Compiled: EngineCompiled}, scheds...)
+	r := RunSchedules(tightCfg(), Options{}, scheds...)
 	if r.Spills == 0 {
-		t.Fatal("tight config no longer spills — shrink its SPM so the compiled/interpreted comparison keeps covering spill paths")
+		t.Fatal("tight config no longer spills — shrink its SPM so the oracle comparison and trace goldens keep covering spill paths")
 	}
 	if r.SPM.Evictions == 0 {
 		t.Fatal("tight config no longer evicts")
@@ -90,24 +73,42 @@ func TestCompiledSpillsUnderPressure(t *testing.T) {
 }
 
 // TestCompiledTraceParity compares the full trace-event export byte for
-// byte: the compiled engine must emit the identical event sequence, not
-// just identical counters.
+// byte against goldens recorded while the interpreter still ran beside the
+// compiled engine and both emitted this exact event sequence. Regenerate
+// with `go test ./internal/sim -run TraceParity -update` and review the
+// diff.
 func TestCompiledTraceParity(t *testing.T) {
 	for kname, scheds := range testKernelSets() {
-		var dumps [2]bytes.Buffer
-		for i, mode := range []EngineChoice{EngineInterpreted, EngineCompiled} {
-			sink := trace.New()
-			RunSchedules(tightCfg(), Options{Trace: sink, TraceLabel: "parity", Compiled: mode}, scheds...)
-			if err := sink.Check(); err != nil {
-				t.Fatalf("%s mode %d: %v", kname, mode, err)
-			}
-			if err := sink.WriteJSON(&dumps[i]); err != nil {
-				t.Fatalf("%s: %v", kname, err)
-			}
+		sink := trace.New()
+		RunSchedules(tightCfg(), Options{Trace: sink, TraceLabel: "parity"}, scheds...)
+		if err := sink.Check(); err != nil {
+			t.Fatalf("%s: %v", kname, err)
 		}
-		if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
-			t.Errorf("%s: compiled trace differs from interpreted trace", kname)
+		checkTraceGolden(t, "trace_"+kname, sink)
+	}
+}
+
+// checkTraceGolden compares sink's Chrome trace export with
+// testdata/<name>.golden.json, rewriting the file under -update.
+func checkTraceGolden(t *testing.T, name string, sink *trace.Sink) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sink.WriteJSON(&buf); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	path := filepath.Join("testdata", name+".golden.json")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: missing golden file (regenerate with -update): %v", name, err)
+	}
+	if !bytes.Equal(want, buf.Bytes()) {
+		t.Errorf("%s: trace JSON drifted from %s (regenerate with -update and review)", name, path)
 	}
 }
 
@@ -122,26 +123,6 @@ func multiPhases() [][][]schedule.Op {
 	}
 }
 
-// TestCompiledMultiMatchesInterpreter holds the compiled multi-core path to
-// full MultiResult equality, in both scratchpad organisations.
-func TestCompiledMultiMatchesInterpreter(t *testing.T) {
-	cfg := testCfg()
-	cfg.Cores = 2
-	cfg.SPMBytes = 1 << 10
-	for _, shared := range []bool{true, false} {
-		for _, free := range []bool{false, true} {
-			want := RunMultiPhased(cfg, Options{FreeDYOnDW: free, Compiled: EngineInterpreted}, multiPhases(), shared)
-			got := RunMultiPhased(cfg, Options{FreeDYOnDW: free, Compiled: EngineCompiled}, multiPhases(), shared)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shared=%v freeDY=%v: compiled %+v != interpreted %+v", shared, free, got, want)
-			}
-			if shared && want.SharedHits == 0 {
-				t.Error("multi workload no longer produces shared hits — the comparison lost its cross-core coverage")
-			}
-		}
-	}
-}
-
 // TestCompiledMultiTraceParity is TestCompiledTraceParity for the
 // multi-core path (per-core tracks, per-buffer occupancy tracks, phases).
 func TestCompiledMultiTraceParity(t *testing.T) {
@@ -149,41 +130,16 @@ func TestCompiledMultiTraceParity(t *testing.T) {
 	cfg.Cores = 2
 	cfg.SPMBytes = 1 << 10
 	for _, shared := range []bool{true, false} {
-		var dumps [2]bytes.Buffer
-		for i, mode := range []EngineChoice{EngineInterpreted, EngineCompiled} {
-			sink := trace.New()
-			RunMultiPhased(cfg, Options{Trace: sink, TraceLabel: "mparity", Compiled: mode}, multiPhases(), shared)
-			if err := sink.Check(); err != nil {
-				t.Fatalf("shared=%v mode %d: %v", shared, mode, err)
-			}
-			if err := sink.WriteJSON(&dumps[i]); err != nil {
-				t.Fatal(err)
-			}
+		sink := trace.New()
+		RunMultiPhased(cfg, Options{Trace: sink, TraceLabel: "mparity"}, multiPhases(), shared)
+		if err := sink.Check(); err != nil {
+			t.Fatalf("shared=%v: %v", shared, err)
 		}
-		if !bytes.Equal(dumps[0].Bytes(), dumps[1].Bytes()) {
-			t.Errorf("shared=%v: compiled multi-core trace differs from interpreted", shared)
+		name := "multitrace_private"
+		if shared {
+			name = "multitrace_shared"
 		}
-	}
-}
-
-// TestRunStreamsMatchesRunSchedules checks the stream entry point against
-// the materialized one on both executors.
-func TestRunStreamsMatchesRunSchedules(t *testing.T) {
-	p := params(tensor.Dims{M: 16, K: 16, N: 16}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	scheds := []schedule.Schedule{
-		{Name: "dx", Ops: schedule.PartialStationaryDX(p, 2)},
-		{Name: "dw", Ops: schedule.PartialStationaryDW(p, 2)},
-	}
-	kernels := []schedule.StreamKernel{
-		{Name: "dx", Ops: schedule.PartialStationaryDXStream(p, 2)},
-		{Name: "dw", Ops: schedule.PartialStationaryDWStream(p, 2)},
-	}
-	for _, mode := range []EngineChoice{EngineInterpreted, EngineCompiled} {
-		want := RunSchedules(tightCfg(), Options{Compiled: mode}, scheds...)
-		got := RunStreams(tightCfg(), Options{Compiled: mode}, kernels...)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("mode %d: RunStreams %+v != RunSchedules %+v", mode, got, want)
-		}
+		checkTraceGolden(t, name, sink)
 	}
 }
 
@@ -205,28 +161,5 @@ func TestCompiledEngineReuse(t *testing.T) {
 	reused.RunProgram(&progSmall)
 	if got := reused.Result(); !reflect.DeepEqual(got, want) {
 		t.Errorf("reused engine %+v != fresh engine %+v", got, want)
-	}
-}
-
-// TestSetCompiledDefault checks the process-wide default toggle and its
-// return-previous contract.
-func TestSetCompiledDefault(t *testing.T) {
-	orig := CompiledDefault()
-	defer SetCompiledDefault(orig)
-	if prev := SetCompiledDefault(false); prev != orig {
-		t.Errorf("SetCompiledDefault returned %v, want %v", prev, orig)
-	}
-	if CompiledDefault() {
-		t.Error("default still compiled after SetCompiledDefault(false)")
-	}
-	if (Options{}).useCompiled() {
-		t.Error("EngineDefault ignored the process default")
-	}
-	if !(Options{Compiled: EngineCompiled}).useCompiled() {
-		t.Error("EngineCompiled did not force the compiled path")
-	}
-	SetCompiledDefault(true)
-	if !(Options{}).useCompiled() || (Options{Compiled: EngineInterpreted}).useCompiled() {
-		t.Error("default restore or EngineInterpreted override broken")
 	}
 }

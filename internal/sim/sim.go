@@ -1,65 +1,21 @@
-// Package sim is the NPU simulator engine. It executes tile-operation
-// streams (internal/schedule) against the scratchpad residency model
+// Package sim is the NPU simulator engine. It executes compiled tile-op
+// programs (internal/schedule) against the scratchpad residency model
 // (internal/spm), the DRAM channel (internal/dram) and the systolic-array
 // timing model (internal/systolic), with double-buffered overlap of data
 // transfer and computation — the execution model the paper assumes
-// (Section 2.2 and 6.1).
+// (Section 2.2 and 6.1). Every entry point runs the compiled engine
+// (compiled.go) or replays its resolved trace (resolved.go); the
+// internal/refmodel oracle is the slow specification all of them are held
+// to.
 package sim
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"igosim/internal/config"
 	"igosim/internal/dram"
 	"igosim/internal/schedule"
 	"igosim/internal/spm"
-	"igosim/internal/systolic"
 	"igosim/internal/trace"
 )
-
-// EngineChoice selects which executor RunSchedules and RunMultiPhased use.
-// Both produce bit-identical results (held together by the refmodel oracle
-// and PropCompiledEquivalence); only speed differs.
-type EngineChoice uint8
-
-const (
-	// EngineDefault follows the process-wide default: compiled, unless
-	// flipped with SetCompiledDefault(false).
-	EngineDefault EngineChoice = iota
-	// EngineCompiled forces the compiled path (schedule.Compile +
-	// CompiledEngine).
-	EngineCompiled
-	// EngineInterpreted forces the reference interpreter (Engine).
-	EngineInterpreted
-)
-
-// interpretByDefault inverts the default so the zero value means
-// "compiled" — the intended production setting.
-var interpretByDefault atomic.Bool
-
-// SetCompiledDefault sets the process-wide executor default used when
-// Options.Compiled is EngineDefault, returning the previous setting.
-func SetCompiledDefault(on bool) bool {
-	prev := !interpretByDefault.Load()
-	interpretByDefault.Store(!on)
-	return prev
-}
-
-// CompiledDefault reports whether EngineDefault currently resolves to the
-// compiled path.
-func CompiledDefault() bool { return !interpretByDefault.Load() }
-
-func (o Options) useCompiled() bool {
-	switch o.Compiled {
-	case EngineCompiled:
-		return true
-	case EngineInterpreted:
-		return false
-	default:
-		return CompiledDefault()
-	}
-}
 
 // Options tweak engine behaviour for specific studies.
 type Options struct {
@@ -79,11 +35,6 @@ type Options struct {
 	// TraceLabel names the trace tracks of engines built with these options
 	// (typically "model/layer pass"). Ignored when Trace is nil.
 	TraceLabel string
-
-	// Compiled selects the executor. The zero value (EngineDefault) follows
-	// the process-wide default set by SetCompiledDefault — compiled unless
-	// turned off. Results are identical either way.
-	Compiled EngineChoice
 }
 
 // Result aggregates the outcome of simulated tile streams.
@@ -125,167 +76,6 @@ func (r *Result) Add(o Result) {
 	r.Spills += o.Spills
 }
 
-// Engine simulates one NPU core. The scratchpad streaming half persists
-// across Run calls so fused schedules can reuse resident tiles; call Reset
-// between independent measurements.
-type Engine struct {
-	cfg  config.NPU
-	arr  systolic.Array
-	chn  dram.Channel
-	buf  *spm.Buffer[schedule.TileKey]
-	live map[schedule.TileKey]int64 // active partial-sum tiles -> bytes
-	opts Options
-	tr   *trace.Track // nil when tracing is disabled
-
-	// pipeline state
-	memDone     int64 // completion time of the DMA stage
-	compDone    int64 // completion time of the compute stage
-	prevCompEnd int64 // compute completion one op back (prefetch depth 2)
-
-	res Result
-}
-
-// NewEngine builds a single-core engine for cfg.
-func NewEngine(cfg config.NPU, opts Options) *Engine {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	e := &Engine{
-		cfg: cfg,
-		arr: systolic.New(cfg),
-		chn: dram.Channel{
-			BytesPerCycle: cfg.BytesPerCycle(),
-			BurstLatency:  cfg.DRAMLatency,
-		},
-		// Half of the SPM is the double-buffer fill target; the residency
-		// set models the other half (Section 2.2).
-		buf:  spm.New[schedule.TileKey](cfg.SPMBytes / 2),
-		live: make(map[schedule.TileKey]int64),
-		opts: opts,
-	}
-	if opts.Trace != nil {
-		label := opts.TraceLabel
-		if label == "" {
-			label = "engine"
-		}
-		e.tr = opts.Trace.NewTrack(label)
-		e.tr.SetCapacity(e.buf.Capacity())
-		// Occupancy is sampled by the scratchpad itself on every residency
-		// mutation, timestamped with the DMA stage's current completion time.
-		e.buf.OnChange = func(used int64) { e.tr.Occupancy(e.memDone, used) }
-	}
-	return e
-}
-
-// Reset clears scratchpad contents, pipeline state and accumulated results.
-func (e *Engine) Reset() {
-	e.buf.Flush()
-	e.buf.ResetStats()
-	clear(e.live)
-	e.memDone, e.compDone, e.prevCompEnd = 0, 0, 0
-	e.res = Result{}
-}
-
-// FlushSPM empties the scratchpad without touching pipeline time or
-// accumulated results. It models a kernel boundary: sequential execution
-// frees each operation's staged buffers, which is exactly why the
-// conventional backward pass cannot reuse dY across the two gradient GEMMs
-// (Section 3.2).
-func (e *Engine) FlushSPM() {
-	e.buf.Flush()
-	clear(e.live)
-}
-
-// Result returns the accumulated result of all Run calls since Reset.
-func (e *Engine) Result() Result {
-	r := e.res
-	r.Cycles = e.compDone
-	r.SPM = e.buf.Stats
-	return r
-}
-
-// Run executes one op stream, continuing the pipeline from previous calls.
-func (e *Engine) Run(ops []schedule.Op) {
-	for i := range ops {
-		e.step(&ops[i])
-	}
-}
-
-// step executes a single tile op through the two-stage pipeline. Spill
-// write-backs are accounted separately from ordinary fetches and drains so
-// the trace layer can attribute stall cycles to scratchpad pressure; the
-// transfer timing itself depends only on the totals and is unchanged.
-func (e *Engine) step(op *schedule.Op) {
-	var fetchBytes, writeBytes, spillBytes int64
-	var bursts, spillBursts int
-
-	// Output (partial-sum) tile handling.
-	out := op.Out
-	if op.OutFirst {
-		if !op.OutLast {
-			e.live[out.Key] = out.Bytes
-		}
-		e.insert(out.Key, out.Bytes, &spillBytes, &spillBursts)
-	} else {
-		if !e.buf.Touch(out.Key) {
-			// The partial was spilled earlier; bring it back.
-			fetchBytes += out.Bytes
-			bursts++
-			e.res.Traffic.AddRead(dram.ClassAcc, out.Bytes)
-			e.insert(out.Key, out.Bytes, &spillBytes, &spillBursts)
-		}
-	}
-	e.tr.Access(out.Key)
-
-	// Operand tiles.
-	for _, t := range [2]schedule.Tile{op.A, op.B} {
-		e.tr.Access(t.Key)
-		if e.buf.Touch(t.Key) {
-			continue
-		}
-		free := e.opts.FreeDYOnDW && op.Kind == schedule.KindDW && t.Key.Class == dram.ClassDY
-		if !free {
-			fetchBytes += t.Bytes
-			bursts++
-			e.res.Traffic.AddRead(t.Key.Class, t.Bytes)
-		}
-		e.insert(t.Key, t.Bytes, &spillBytes, &spillBursts)
-	}
-
-	// Final accumulation: stream the finished output back to DRAM.
-	if op.OutLast {
-		writeBytes += out.Bytes
-		bursts++
-		e.res.Traffic.AddWrite(out.Key.Class, out.Bytes)
-		e.buf.Remove(out.Key)
-		delete(e.live, out.Key)
-	}
-
-	memCycles := e.chn.TransferCycles(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
-	compCycles := e.arr.TileCycles(op.Tm, op.Tk, op.Tn)
-
-	// Double-buffered pipeline: the DMA may run at most one op ahead of the
-	// compute stage (prefetch depth 2).
-	memStart := max(e.memDone, e.prevCompEnd)
-	memEnd := memStart + memCycles
-	compStart := max(e.compDone, memEnd)
-	compEnd := compStart + compCycles
-
-	if e.tr != nil {
-		e.tr.DMA(memStart, memCycles, fetchBytes, writeBytes, spillBytes, bursts+spillBursts)
-		e.tr.Compute(op.Kind.String(), compStart, compCycles, op.Tm, op.Tk, op.Tn)
-		e.tr.Stall(splitStall(e.chn, compStart-e.compDone, memCycles, spillBytes, spillBursts))
-	}
-
-	e.memDone = memEnd
-	e.prevCompEnd = e.compDone
-	e.compDone = compEnd
-
-	e.res.ComputeCycles += compCycles
-	e.res.MemCycles += memCycles
-	e.res.Ops++
-}
-
 // splitStall attributes one op's compute-stage stall between ordinary DMA
 // waiting and pressure-spill waiting, proportionally to the spill share of
 // the blocking transfer. The two parts always sum to the stall, keeping the
@@ -301,81 +91,15 @@ func splitStall(chn dram.Channel, stall, memCycles, spillBytes int64, spillBurst
 	return stall - spill, spill
 }
 
-// insert places a tile in the residency set, charging spill writes for any
-// live partial-sum tiles that get evicted.
-func (e *Engine) insert(k schedule.TileKey, bytes int64, spillBytes *int64, spillBursts *int) {
-	for _, victim := range e.buf.Insert(k, bytes) {
-		vb, isLive := e.live[victim]
-		if !isLive {
-			continue // clean operand tile: dropping it is free
-		}
-		*spillBytes += vb
-		*spillBursts++
-		e.res.Traffic.AddWrite(dram.ClassAcc, vb)
-		e.res.Spills++
-		e.tr.Spill(e.memDone, vb)
-	}
-}
-
-// RunSchedule executes one named schedule, continuing the pipeline from
-// previous calls, and emits a phase span covering it on the trace track.
-func (e *Engine) RunSchedule(s schedule.Schedule) {
-	start := e.compDone
-	e.Run(s.Ops)
-	e.tr.Phase(s.Name, start, e.compDone)
-}
-
-// RunStream executes a pull-based op stream to exhaustion, continuing the
-// pipeline from previous calls.
-func (e *Engine) RunStream(s schedule.OpStream) {
-	s(func(op *schedule.Op) bool {
-		e.step(op)
-		return true
-	})
-}
-
-// RunSchedules is a convenience wrapper: it executes the given schedules in
-// order on a fresh single-core engine, flushing the scratchpad at each
-// schedule boundary (schedules model separate kernels), and returns the
-// combined result. Options.Compiled picks the executor; both paths are
-// bit-identical.
+// RunSchedules executes the given schedules in order on a fresh single-core
+// engine, flushing the scratchpad at each schedule boundary (schedules
+// model separate kernels), and returns the combined result. The schedules
+// are lowered into a pooled compiled runner's reusable buffers, so a steady
+// stream of calls allocates nothing per call.
 func RunSchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) Result {
-	if opts.useCompiled() {
-		res := runSchedulesCompiled(cfg, opts, scheds)
-		countPass(res)
-		return res
-	}
-	e := NewEngine(cfg, opts)
-	for i, s := range scheds {
-		if i > 0 {
-			e.FlushSPM()
-		}
-		e.RunSchedule(s)
-	}
-	res := e.Result()
-	countPass(res)
-	return res
-}
-
-// RunStreams is RunSchedules for pull-based generators: each kernel's ops
-// are produced on demand, so the compiled path never materializes a []Op
-// and the interpreted path executes ops as they are yielded.
-func RunStreams(cfg config.NPU, opts Options, kernels ...schedule.StreamKernel) Result {
-	if opts.useCompiled() {
-		res := runStreamsCompiled(cfg, opts, kernels)
-		countPass(res)
-		return res
-	}
-	e := NewEngine(cfg, opts)
-	for i, k := range kernels {
-		if i > 0 {
-			e.FlushSPM()
-		}
-		start := e.compDone
-		e.RunStream(k.Ops)
-		e.tr.Phase(k.Name, start, e.compDone)
-	}
-	res := e.Result()
+	cr := compiledPool.Get()
+	res := cr.run(cfg, opts, scheds)
+	compiledPool.Put(cr)
 	countPass(res)
 	return res
 }
@@ -407,11 +131,4 @@ func ReduceCost(cfg config.NPU, parts int, outBytes int64, finalClass dram.Class
 		Cycles:  chn.TransferCycles(readBytes+outBytes, parts+1),
 		Traffic: tr,
 	}
-}
-
-func validateStreams(streams [][]schedule.Op) error {
-	if len(streams) == 0 {
-		return fmt.Errorf("sim: no op streams")
-	}
-	return nil
 }

@@ -77,20 +77,21 @@ func TestPairedInterleaveReadsDYOnce(t *testing.T) {
 
 func TestFlushForcesRefetch(t *testing.T) {
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	dx := schedule.BaselineDX(p)
+	dx := schedule.Schedule{Name: "dx", Ops: schedule.BaselineDX(p)}
 
-	// Same kernel twice without flush: second pass hits.
-	e := NewEngine(testCfg(), Options{})
-	e.Run(dx)
+	// Same kernel twice without flush: the engine keeps its scratchpad
+	// across Execute calls, so the second pass hits.
+	prog := schedule.Compile(dx)
+	e := NewCompiledEngine(testCfg(), Options{})
+	e.RunProgram(&prog)
 	firstReads := e.Result().Traffic.TotalRead()
-	e.Run(dx)
+	e.Execute()
 	if got := e.Result().Traffic.TotalRead(); got != firstReads {
 		t.Fatalf("warm rerun fetched %d extra bytes", got-firstReads)
 	}
-	// With a flush, everything is refetched.
-	e.FlushSPM()
-	e.Run(dx)
-	if got := e.Result().Traffic.TotalRead(); got != 2*firstReads {
+	// Across a kernel boundary the scratchpad is flushed: everything is
+	// refetched.
+	if got := RunSchedules(testCfg(), Options{}, dx, dx).Traffic.TotalRead(); got != 2*firstReads {
 		t.Fatalf("post-flush reads = %d, want %d", got, 2*firstReads)
 	}
 }
@@ -172,8 +173,9 @@ func TestBurstLatencyCharged(t *testing.T) {
 
 func TestEngineReset(t *testing.T) {
 	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
-	e := NewEngine(testCfg(), Options{})
-	e.Run(schedule.BaselineDX(p))
+	prog := schedule.Compile(schedule.Schedule{Ops: schedule.BaselineDX(p)})
+	e := NewCompiledEngine(testCfg(), Options{})
+	e.RunProgram(&prog)
 	e.Reset()
 	r := e.Result()
 	if r.Cycles != 0 || r.Traffic.Total() != 0 || r.Ops != 0 {

@@ -7,29 +7,6 @@ package spm
 
 import "fmt"
 
-// Buffer is a byte-capacity LRU residency set over tile keys.
-// The zero value is not usable; construct with New.
-type Buffer[K comparable] struct {
-	capacity int64
-	used     int64
-	entries  map[K]*node[K]
-	head     *node[K] // most recently used
-	tail     *node[K] // least recently used
-
-	// Stats accumulates hit/miss/eviction counts since the last Reset.
-	Stats Stats
-
-	// OnChange, when set, is invoked with the resident byte count after
-	// every mutation (Insert, Remove, Flush) — the trace layer's occupancy
-	// sampling hook. The nil default costs one predictable branch per
-	// mutation and nothing else; every invocation goes through the
-	// notifyChange fast path, and the hotalloc-adjacent nilguard rule below
-	// keeps it that way.
-	//
-	//lint:guardedcall nil OnChange is the tracing-disabled configuration
-	OnChange func(used int64)
-}
-
 // Stats counts residency events.
 type Stats struct {
 	Hits      int64
@@ -46,161 +23,176 @@ func (s *Stats) Merge(o Stats) {
 	s.Evictions += o.Evictions
 }
 
-type node[K comparable] struct {
-	key        K
-	bytes      int64
-	prev, next *node[K]
+// nilID terminates the intrusive recency list.
+const nilID = int32(-1)
+
+// Residency is a byte-capacity LRU residency set over dense tile IDs
+// 0..n-1 (as interned by schedule.Compiler): an intrusive doubly-linked
+// recency list kept in flat arrays, so touches, inserts and removals do no
+// map lookups and, once the arrays have grown to a program's tile table,
+// no allocations.
+//
+// Reuse pattern: SetCapacity (per configuration) -> Resize (per tile
+// table) -> Touch/Insert/Remove, with Flush at kernel boundaries.
+type Residency struct {
+	capacity, used int64
+	head, tail     int32
+	prev, next     []int32
+	resident       []bool
+	bytes          []int64
+	victims        []int32 // eviction scratch, reused across inserts
+
+	// Stats accumulates hit/miss/eviction counts. Flush and Resize keep
+	// them; zero the field when starting a fresh measurement.
+	Stats Stats
 }
 
-// New creates a buffer holding at most capacity bytes.
-func New[K comparable](capacity int64) *Buffer[K] {
+// SetCapacity sets the capacity in bytes. A non-positive capacity panics.
+func (r *Residency) SetCapacity(capacity int64) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("spm: invalid capacity %d", capacity))
 	}
-	return &Buffer[K]{capacity: capacity, entries: make(map[K]*node[K])}
+	r.capacity = capacity
 }
 
-// Capacity returns the buffer capacity in bytes.
-func (b *Buffer[K]) Capacity() int64 { return b.capacity }
+// Capacity returns the capacity in bytes.
+func (r *Residency) Capacity() int64 { return r.capacity }
 
 // Used returns the bytes currently resident.
-func (b *Buffer[K]) Used() int64 { return b.used }
+func (r *Residency) Used() int64 { return r.used }
 
-// Len returns the number of resident tiles.
-func (b *Buffer[K]) Len() int { return len(b.entries) }
-
-// Contains reports residency without touching recency or stats.
-func (b *Buffer[K]) Contains(k K) bool {
-	_, ok := b.entries[k]
-	return ok
+// Resize sizes the set for tile IDs 0..n-1, reusing array capacity, and
+// empties it.
+func (r *Residency) Resize(n int) {
+	if cap(r.prev) >= n {
+		r.prev = r.prev[:n]
+		r.next = r.next[:n]
+		r.resident = r.resident[:n]
+		r.bytes = r.bytes[:n]
+	} else {
+		r.prev = make([]int32, n)
+		r.next = make([]int32, n)
+		r.resident = make([]bool, n)
+		r.bytes = make([]int64, n)
+	}
+	r.Flush()
 }
 
-// Touch marks k as most recently used if resident, recording a hit or miss.
-func (b *Buffer[K]) Touch(k K) bool {
-	n, ok := b.entries[k]
-	if !ok {
-		b.Stats.Misses++
+// Flush empties the set. Statistics are preserved.
+func (r *Residency) Flush() {
+	clear(r.resident)
+	r.used = 0
+	r.head, r.tail = nilID, nilID
+}
+
+// Contains reports residency without touching recency or stats.
+func (r *Residency) Contains(id int32) bool { return r.resident[id] }
+
+// Touch marks id as most recently used if resident, counting a hit or miss.
+//
+//lint:hotpath
+func (r *Residency) Touch(id int32) bool {
+	if !r.resident[id] {
+		r.Stats.Misses++
 		return false
 	}
-	b.Stats.Hits++
-	b.moveToFront(n)
+	r.Stats.Hits++
+	if r.head != id {
+		r.unlink(id)
+		r.pushFront(id)
+	}
 	return true
 }
 
-// Insert adds k with the given size, evicting least-recently-used tiles as
-// needed, and returns the evicted keys (oldest first). Inserting an already
-// resident key refreshes its recency and returns nil. A tile larger than
-// the whole buffer cannot be held: Insert panics, because the tiler is
-// required to produce SPM-fitting tiles.
-func (b *Buffer[K]) Insert(k K, bytes int64) []K {
+// Insert adds id with the given size, evicting least-recently-used tiles
+// as needed. The returned victims (oldest first) stay valid until the next
+// Insert. changed is false when id was already resident: its recency is
+// refreshed and nothing is evicted. A tile larger than the whole set
+// cannot be held: Insert panics, because the tiler is required to produce
+// SPM-fitting tiles.
+//
+//lint:hotpath
+func (r *Residency) Insert(id int32, bytes int64) (victims []int32, changed bool) {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("spm: invalid tile size %d", bytes))
 	}
-	if bytes > b.capacity {
-		panic(fmt.Sprintf("spm: tile of %d bytes exceeds SPM capacity %d", bytes, b.capacity))
+	if bytes > r.capacity {
+		panic(fmt.Sprintf("spm: tile of %d bytes exceeds SPM capacity %d", bytes, r.capacity))
 	}
-	if n, ok := b.entries[k]; ok {
-		b.moveToFront(n)
-		return nil
+	if r.resident[id] {
+		if r.head != id {
+			r.unlink(id)
+			r.pushFront(id)
+		}
+		return nil, false
 	}
-	var evicted []K
-	for b.used+bytes > b.capacity {
-		v := b.tail
-		if v == nil {
+	r.victims = r.victims[:0]
+	for r.used+bytes > r.capacity {
+		v := r.tail
+		if v == nilID {
 			break
 		}
-		b.remove(v)
-		b.Stats.Evictions++
-		evicted = append(evicted, v.key)
+		r.unlink(v)
+		r.resident[v] = false
+		r.used -= r.bytes[v]
+		r.Stats.Evictions++
+		r.victims = append(r.victims, v)
 	}
-	n := &node[K]{key: k, bytes: bytes}
-	b.entries[k] = n
-	b.used += bytes
-	b.pushFront(n)
-	b.notifyChange(b.used)
-	return evicted
+	r.resident[id] = true
+	r.bytes[id] = bytes
+	r.used += bytes
+	r.pushFront(id)
+	return r.victims, true
 }
 
-// Remove drops k from the buffer, reporting whether it was resident.
-func (b *Buffer[K]) Remove(k K) bool {
-	n, ok := b.entries[k]
-	if !ok {
+// Remove drops id, reporting whether it was resident.
+//
+//lint:hotpath
+func (r *Residency) Remove(id int32) bool {
+	if !r.resident[id] {
 		return false
 	}
-	b.remove(n)
-	b.notifyChange(b.used)
+	r.unlink(id)
+	r.resident[id] = false
+	r.used -= r.bytes[id]
 	return true
 }
 
-// Flush empties the buffer, returning the number of tiles dropped.
-// Statistics are preserved.
-func (b *Buffer[K]) Flush() int {
-	n := len(b.entries)
-	b.entries = make(map[K]*node[K])
-	b.head, b.tail = nil, nil
-	b.used = 0
-	b.notifyChange(0)
-	return n
+// Keys returns the resident IDs in recency order, most recently used
+// first. Differential tests use it to compare the full LRU state against
+// an independently modelled reference, not just the byte totals.
+func (r *Residency) Keys() []int32 {
+	var ids []int32
+	for i := r.head; i != nilID; i = r.next[i] {
+		ids = append(ids, i)
+	}
+	return ids
 }
 
-// notifyChange is the single point through which every mutation reports
-// the new resident byte count. The nil fast path lives here so no mutation
-// pays more than one predictable branch when tracing is disabled, and so
-// the nilguard analyzer has exactly one guarded call site to verify.
-func (b *Buffer[K]) notifyChange(used int64) {
-	if b.OnChange == nil {
-		return
-	}
-	b.OnChange(used)
-}
-
-// ResetStats zeroes the hit/miss/eviction counters.
-func (b *Buffer[K]) ResetStats() { b.Stats = Stats{} }
-
-// Keys returns the resident keys in recency order, most recently used
-// first. Differential tests use it to compare the buffer's full LRU state
-// against an independently-modelled reference, not just the byte totals.
-func (b *Buffer[K]) Keys() []K {
-	keys := make([]K, 0, len(b.entries))
-	for n := b.head; n != nil; n = n.next {
-		keys = append(keys, n.key)
-	}
-	return keys
-}
-
-func (b *Buffer[K]) pushFront(n *node[K]) {
-	n.prev = nil
-	n.next = b.head
-	if b.head != nil {
-		b.head.prev = n
-	}
-	b.head = n
-	if b.tail == nil {
-		b.tail = n
-	}
-}
-
-func (b *Buffer[K]) remove(n *node[K]) {
-	if n.prev != nil {
-		n.prev.next = n.next
+//lint:hotpath
+func (r *Residency) unlink(i int32) {
+	p, n := r.prev[i], r.next[i]
+	if p != nilID {
+		r.next[p] = n
 	} else {
-		b.head = n.next
+		r.head = n
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n != nilID {
+		r.prev[n] = p
 	} else {
-		b.tail = n.prev
+		r.tail = p
 	}
-	delete(b.entries, n.key)
-	b.used -= n.bytes
 }
 
-func (b *Buffer[K]) moveToFront(n *node[K]) {
-	if b.head == n {
-		return
+//lint:hotpath
+func (r *Residency) pushFront(i int32) {
+	r.prev[i] = nilID
+	r.next[i] = r.head
+	if r.head != nilID {
+		r.prev[r.head] = i
 	}
-	b.remove(n)
-	b.entries[n.key] = n
-	b.used += n.bytes
-	b.pushFront(n)
+	r.head = i
+	if r.tail == nilID {
+		r.tail = i
+	}
 }

@@ -1,23 +1,32 @@
 package spm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// newSet returns an empty set of the given capacity over tile IDs 0..n-1.
+func newSet(capacity int64, n int) *Residency {
+	r := &Residency{}
+	r.SetCapacity(capacity)
+	r.Resize(n)
+	return r
+}
+
 func TestInsertAndTouch(t *testing.T) {
-	b := New[string](100)
-	if b.Touch("a") {
-		t.Fatal("hit on empty buffer")
+	b := newSet(100, 4)
+	if b.Touch(0) {
+		t.Fatal("hit on empty set")
 	}
-	if evicted := b.Insert("a", 40); evicted != nil {
-		t.Fatalf("unexpected evictions %v", evicted)
+	if evicted, changed := b.Insert(0, 40); len(evicted) != 0 || !changed {
+		t.Fatalf("insert into empty set: evicted %v, changed %v", evicted, changed)
 	}
-	if !b.Touch("a") {
+	if !b.Touch(0) {
 		t.Fatal("miss after insert")
 	}
-	if b.Used() != 40 || b.Len() != 1 {
-		t.Fatalf("used/len = %d/%d", b.Used(), b.Len())
+	if b.Used() != 40 || len(b.Keys()) != 1 {
+		t.Fatalf("used/len = %d/%d", b.Used(), len(b.Keys()))
 	}
 	if b.Stats.Hits != 1 || b.Stats.Misses != 1 {
 		t.Fatalf("stats = %+v", b.Stats)
@@ -25,87 +34,89 @@ func TestInsertAndTouch(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	b := New[string](100)
-	b.Insert("a", 40)
-	b.Insert("b", 40)
-	b.Touch("a") // refresh a: b is now least recently used
-	evicted := b.Insert("c", 40)
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted %v, want [b]", evicted)
+	b := newSet(100, 4)
+	b.Insert(0, 40)
+	b.Insert(1, 40)
+	b.Touch(0) // refresh 0: 1 is now least recently used
+	evicted, _ := b.Insert(2, 40)
+	if !slices.Equal(evicted, []int32{1}) {
+		t.Fatalf("evicted %v, want [1]", evicted)
 	}
-	if !b.Contains("a") || !b.Contains("c") || b.Contains("b") {
+	if !b.Contains(0) || !b.Contains(2) || b.Contains(1) {
 		t.Fatal("wrong residency after eviction")
 	}
 }
 
 func TestInsertEvictsMultiple(t *testing.T) {
-	b := New[string](100)
-	b.Insert("a", 30)
-	b.Insert("b", 30)
-	b.Insert("c", 30)
-	evicted := b.Insert("big", 90)
-	if len(evicted) != 3 {
-		t.Fatalf("evicted %v, want all three", evicted)
+	b := newSet(100, 4)
+	b.Insert(0, 30)
+	b.Insert(1, 30)
+	b.Insert(2, 30)
+	evicted, _ := b.Insert(3, 90)
+	if !slices.Equal(evicted, []int32{0, 1, 2}) {
+		t.Fatalf("evicted %v, want all three oldest-first", evicted)
 	}
-	if b.Used() != 90 || b.Len() != 1 {
-		t.Fatalf("used/len = %d/%d", b.Used(), b.Len())
+	if b.Used() != 90 || len(b.Keys()) != 1 {
+		t.Fatalf("used/len = %d/%d", b.Used(), len(b.Keys()))
 	}
 }
 
 func TestReinsertRefreshesRecency(t *testing.T) {
-	b := New[string](100)
-	b.Insert("a", 40)
-	b.Insert("b", 40)
-	b.Insert("a", 40) // refresh, no size change
+	b := newSet(100, 4)
+	b.Insert(0, 40)
+	b.Insert(1, 40)
+	if _, changed := b.Insert(0, 40); changed { // refresh, no size change
+		t.Fatal("re-insert of a resident tile reported a change")
+	}
 	if b.Used() != 80 {
 		t.Fatalf("used = %d after refresh", b.Used())
 	}
-	evicted := b.Insert("c", 40)
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted %v, want [b]", evicted)
+	evicted, _ := b.Insert(2, 40)
+	if !slices.Equal(evicted, []int32{1}) {
+		t.Fatalf("evicted %v, want [1]", evicted)
 	}
 }
 
 func TestRemove(t *testing.T) {
-	b := New[string](100)
-	b.Insert("a", 60)
-	if !b.Remove("a") {
+	b := newSet(100, 4)
+	b.Insert(0, 60)
+	if !b.Remove(0) {
 		t.Fatal("remove reported missing")
 	}
-	if b.Remove("a") {
+	if b.Remove(0) {
 		t.Fatal("double remove succeeded")
 	}
-	if b.Used() != 0 || b.Contains("a") {
+	if b.Used() != 0 || b.Contains(0) {
 		t.Fatal("remove left residue")
 	}
 }
 
 func TestFlushKeepsStats(t *testing.T) {
-	b := New[string](100)
-	b.Insert("a", 10)
-	b.Touch("a")
-	if n := b.Flush(); n != 1 {
-		t.Fatalf("flush dropped %d tiles", n)
-	}
-	if b.Used() != 0 || b.Len() != 0 {
+	b := newSet(100, 4)
+	b.Insert(0, 10)
+	b.Touch(0)
+	b.Flush()
+	if b.Used() != 0 || len(b.Keys()) != 0 || b.Contains(0) {
 		t.Fatal("flush incomplete")
 	}
 	if b.Stats.Hits != 1 {
 		t.Fatal("flush cleared stats")
 	}
-	b.ResetStats()
-	if b.Stats.Hits != 0 {
-		t.Fatal("ResetStats failed")
+	// Resize reuses the arrays and also starts empty, keeping stats.
+	b.Insert(3, 10)
+	b.Resize(2)
+	if b.Used() != 0 || len(b.Keys()) != 0 || b.Stats.Hits != 1 {
+		t.Fatalf("resize left used=%d keys=%v stats=%+v", b.Used(), b.Keys(), b.Stats)
 	}
 }
 
 func TestOversizedTilePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for tile larger than buffer")
+			t.Fatal("expected panic for tile larger than the set")
 		}
 	}()
-	New[int](10).Insert(1, 11)
+	newSet(10, 2).Insert(1, 11)
 }
 
 func TestInvalidSizePanics(t *testing.T) {
@@ -114,7 +125,7 @@ func TestInvalidSizePanics(t *testing.T) {
 			t.Fatal("expected panic for non-positive tile size")
 		}
 	}()
-	New[int](10).Insert(1, 0)
+	newSet(10, 2).Insert(1, 0)
 }
 
 func TestNewInvalidCapacityPanics(t *testing.T) {
@@ -123,37 +134,38 @@ func TestNewInvalidCapacityPanics(t *testing.T) {
 			t.Fatal("expected panic for non-positive capacity")
 		}
 	}()
-	New[int](0)
+	newSet(0, 2)
 }
 
 // TestAccountingInvariant checks with random workloads that Used() always
 // equals the sum of resident tile sizes and never exceeds capacity.
 func TestAccountingInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
-		b := New[uint16](256)
-		shadow := make(map[uint16]int64)
+		b := newSet(256, 37)
+		shadow := make(map[int32]int64)
 		for _, op := range ops {
-			key := op % 37
+			id := int32(op % 37)
 			size := int64(op%63) + 1
 			if op%3 == 0 {
-				if b.Remove(key) {
-					delete(shadow, key)
+				if b.Remove(id) {
+					delete(shadow, id)
 				}
 				continue
 			}
-			if b.Contains(key) {
-				b.Touch(key)
+			if b.Contains(id) {
+				b.Touch(id)
 				continue
 			}
-			for _, v := range b.Insert(key, size) {
+			evicted, _ := b.Insert(id, size)
+			for _, v := range evicted {
 				delete(shadow, v)
 			}
-			shadow[key] = size
+			shadow[id] = size
 			var sum int64
 			for _, s := range shadow {
 				sum += s
 			}
-			if b.Used() != sum || b.Used() > b.Capacity() || b.Len() != len(shadow) {
+			if b.Used() != sum || b.Used() > b.Capacity() || len(b.Keys()) != len(shadow) {
 				return false
 			}
 		}
@@ -165,7 +177,7 @@ func TestAccountingInvariant(t *testing.T) {
 }
 
 func TestEvictionsCountedInStats(t *testing.T) {
-	b := New[int](50)
+	b := newSet(50, 4)
 	b.Insert(1, 30)
 	b.Insert(2, 30)
 	if b.Stats.Evictions != 1 {
@@ -173,43 +185,19 @@ func TestEvictionsCountedInStats(t *testing.T) {
 	}
 }
 
-func TestOnChangeObservesEveryMutation(t *testing.T) {
-	b := New[int](50)
-	var samples []int64
-	b.OnChange = func(used int64) { samples = append(samples, used) }
-
-	b.Insert(1, 30) // resident: 30
-	b.Insert(2, 20) // resident: 50
-	b.Touch(1)      // recency only: no sample
-	b.Insert(3, 30) // evicts 2 and 1, inserts 3: resident 30
-	b.Remove(3)     // resident: 0
-	b.Insert(4, 10) // resident: 10
-	b.Flush()       // resident: 0
-
-	want := []int64{30, 50, 30, 0, 10, 0}
-	if len(samples) != len(want) {
-		t.Fatalf("samples = %v, want %v", samples, want)
-	}
-	for i := range want {
-		if samples[i] != want[i] {
-			t.Fatalf("sample %d = %d, want %d (all: %v)", i, samples[i], want[i], samples)
-		}
-	}
-}
-
 func TestKeysRecencyOrder(t *testing.T) {
-	b := New[string](100)
-	b.Insert("a", 10)
-	b.Insert("b", 10)
-	b.Insert("c", 10)
-	if got := b.Keys(); len(got) != 3 || got[0] != "c" || got[1] != "b" || got[2] != "a" {
-		t.Fatalf("Keys() = %v, want [c b a]", got)
+	b := newSet(100, 4)
+	b.Insert(0, 10)
+	b.Insert(1, 10)
+	b.Insert(2, 10)
+	if got := b.Keys(); !slices.Equal(got, []int32{2, 1, 0}) {
+		t.Fatalf("Keys() = %v, want [2 1 0]", got)
 	}
-	// Touching refreshes recency; removing drops the key from the order.
-	b.Touch("a")
-	b.Remove("b")
-	if got := b.Keys(); len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("Keys() after touch/remove = %v, want [a c]", got)
+	// Touching refreshes recency; removing drops the ID from the order.
+	b.Touch(0)
+	b.Remove(1)
+	if got := b.Keys(); !slices.Equal(got, []int32{0, 2}) {
+		t.Fatalf("Keys() after touch/remove = %v, want [0 2]", got)
 	}
 	if b.Flush(); len(b.Keys()) != 0 {
 		t.Fatalf("Keys() after flush = %v, want empty", b.Keys())
