@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-json vet lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check
+.PHONY: build test race bench bench-json vet lint lint-sarif lint-check ci golden trace-check fuzz-short cover sweep-check replay-check perf-check manifest-check serve-check mem-check
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,12 @@ replay-check:
 perf-check:
 	sh scripts/perf_check.sh
 
+# Heap gate (ROADMAP item 1): a cold fig12 must retain less than 600 MB of
+# live heap after a full GC, read from runtime/metrics. The env-gated test
+# skips under plain `go test ./...`.
+mem-check:
+	IGOSIM_MEM_CHECK=1 $(GO) test ./internal/experiments/ -run '^TestFig12RetainedHeap$$' -count=1 -v
+
 # Simulation-service gate (DESIGN.md §3k): the serve + loadtest suites
 # under -race (body determinism across -j1/-j8 replay, error paths, cache
 # semantics), then a fresh fixed-seed load test igostat-diffed against
@@ -121,7 +127,7 @@ cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-ci: vet build race bench perf-check serve-check bench-json trace-check lint lint-check manifest-check sweep-check replay-check cover fuzz-short
+ci: vet build race bench perf-check mem-check serve-check bench-json trace-check lint lint-check manifest-check sweep-check replay-check cover fuzz-short
 
 # Full-suite determinism check: regenerates every figure twice (cold at
 # -j 8, warm at -j 1) and demands byte-identical reports. Takes minutes.

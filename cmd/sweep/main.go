@@ -182,6 +182,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if len(res.Rows) > 0 && res.Skipped == len(res.Rows) {
+		fatal(fmt.Errorf("no point of the grid can be simulated: %s", res.Rows[0].Reason))
+	}
 	wall := time.Since(start)
 
 	if *csvPath != "" {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"igosim/internal/config"
 	"igosim/internal/runner"
@@ -65,17 +66,13 @@ func baselineChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		single := cfg
 		single.Cores = 1
 		// Candidates are built from the canonical shape so their retained
-		// programs are shared; cycle outcomes are renaming-invariant.
+		// traces are shared; cycle outcomes are renaming-invariant.
 		np := tuneParams(p)
-		pn := baselinePanel(single, np)
 		t := tuner{single: single, np: np}
+		f := panelFor(basePanels, single, np, len(baselineCandidates), func(i int) schedule.Walk { return baselineCandidates[i] })
 		var v ordersVal
-		v.dx = dxOrders[t.best(len(dxOrders), pn.dxProg, func(i int) schedule.Walk {
-			return schedule.BaselineDXWalk(dxOrders[i])
-		})]
-		v.dw = dwOrders[t.best(len(dwOrders), pn.dwProg, func(i int) schedule.Walk {
-			return schedule.BaselineDWWalk(dwOrders[i])
-		})]
+		v.dx = dxOrders[fastest(len(dxOrders), func(i int) int64 { return t.cycles(f, i) })]
+		v.dw = dwOrders[fastest(len(dwOrders), func(i int) int64 { return t.cycles(f, len(dxOrders)+i) })]
 		return v
 	})
 }
@@ -86,6 +83,19 @@ var (
 	dxOrders = []schedule.DXLoopOrder{schedule.DXOrderMK, schedule.DXOrderKM}
 	dwOrders = []schedule.DWLoopOrder{schedule.DWOrderKN, schedule.DWOrderNK}
 )
+
+// baselineCandidates lists the baseline tuner's isolated candidates in
+// panel order: the dX loop orders, then the dW loop orders.
+var baselineCandidates = func() []schedule.Walk {
+	var ws []schedule.Walk
+	for _, o := range dxOrders {
+		ws = append(ws, schedule.BaselineDXWalk(o))
+	}
+	for _, o := range dwOrders {
+		ws = append(ws, schedule.BaselineDWWalk(o))
+	}
+	return ws
+}()
 
 // TunedBaselineKernels emits the two schedule-tuned gradient kernels of the
 // conventional sequential backward pass: the baseline every evaluation
@@ -180,13 +190,11 @@ func interleaveChoices(cfg config.NPU, p schedule.TileParams) ordersVal {
 		single.Cores = 1
 		np := tuneParams(p)
 		// On a bandwidth sweep the candidate panel is already retained, so
-		// this loop is pure replays of shared programs (DESIGN.md §3l).
-		set := mergePanel(single, np)
+		// this loop is pure replays of shared traces (DESIGN.md §3l).
 		vs := mergeCandidates(np)
 		t := tuner{single: single, np: np}
-		return vs[t.best(len(vs), func(i int) *schedule.Program { return set.progFor(vs[i]) }, func(i int) schedule.Walk {
-			return mergeWalk(vs[i])
-		})]
+		f := panelFor(mergePanels, single, np, len(vs), func(i int) schedule.Walk { return mergeWalk(vs[i]) })
+		return vs[fastest(len(vs), func(i int) int64 { return t.cycles(f, i) })]
 	})
 }
 
@@ -289,16 +297,25 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 		single.Cores = 1
 		np := tuneParams(p)
 		// The interleave candidate is exactly the joint tuner's winning
-		// merge, so its retained program (and thus its resolved trace) is
-		// shared with the tuner's exploration above.
+		// merge, so its retained trace is shared with the tuner's
+		// exploration above.
 		v := interleaveChoices(single, np)
-		mj := majorPanelFor(single, np)
-		progs := [...]*schedule.Program{mergePanel(single, np).progFor(v), mj.dxMajorProg(), mj.dwMajorProg()}
+		vs := mergeCandidates(np)
 		t := tuner{single: single, np: np}
+		merge := panelFor(mergePanels, single, np, len(vs), func(i int) schedule.Walk { return mergeWalk(vs[i]) })
+		major := panelFor(majorPanels, single, np, 2, func(i int) schedule.Walk {
+			if i == 0 {
+				return dxMajorWalk(single, np).w
+			}
+			return dwMajorWalk(single, np).w
+		})
+		iv := slices.Index(vs, v)
 		orders := Orders()
-		return orders[t.best(len(orders), func(i int) *schedule.Program { return progs[i] }, func(i int) schedule.Walk {
-			k, _ := rearrangedWalk(single, np, orders[i])
-			return k.w
+		return orders[fastest(len(orders), func(i int) int64 {
+			if i == 0 {
+				return t.cycles(merge, iv)
+			}
+			return t.cycles(major, i-1)
 		})]
 	})
 }
@@ -307,41 +324,41 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 type tuner struct {
 	single config.NPU
 	np     schedule.TileParams
-	// basis and prog serve large shapes, whose candidates have no retained
-	// panel: one transient basis per tuner call, built on the first
-	// gather, each candidate gathered into the same buffer and run once.
+	// basis and prog serve candidates without a panel trace: one
+	// transient basis per tuner call, built on the first gather, each
+	// candidate gathered into the same buffer and run once.
 	basis *schedule.Basis
 	prog  *schedule.Program
 }
 
-// best prices candidates 0..n-1 and returns the index of the fastest (the
-// first on ties). prog returns candidate i's retained panel program, nil
-// when the shape has no panel; walk returns its walk, and is only called
-// for candidates without a panel program.
-func (t *tuner) best(n int, prog func(i int) *schedule.Program, walk func(i int) schedule.Walk) int {
+// fastest returns the index of the fastest of candidates 0..n-1 (the first
+// on ties), given each one's cycles.
+func fastest(n int, cycles func(i int) int64) int {
 	besti, best := 0, int64(-1)
 	for i := 0; i < n; i++ {
-		if cyc := t.cycles(prog(i), walk, i); best < 0 || cyc < best {
+		if cyc := cycles(i); best < 0 || cyc < best {
 			besti, best = i, cyc
 		}
 	}
 	return besti
 }
 
-// cycles simulates candidate i and returns its makespan: the retained
-// panel program through RunProgram's two-phase path, or a program gathered
-// from the transient basis on the one-shot engine when the shape has no
-// panel. Both are bit-identical (the resolved-replay and basis-gather
-// property suites hold this), so which one runs never changes a tuner's
-// choice.
-func (t *tuner) cycles(prog *schedule.Program, walk func(i int) schedule.Walk, i int) int64 {
-	opts := sim.Options{}
-	if prog != nil {
-		return sim.RunProgram(t.single, opts, prog).Cycles
+// cycles returns candidate i of f's makespan: the cycles its panel build
+// just resolved, a replay of its panel trace, or — with no panel or no
+// trace — a run of the candidate gathered from the transient basis on the
+// one-shot engine. All three are bit-identical (the resolved-replay and
+// basis-gather property suites hold this), so which one runs never
+// changes a tuner's choice.
+func (t *tuner) cycles(f family, i int) int64 {
+	switch {
+	case f.built != nil:
+		return f.built[i]
+	case f.pn != nil && f.pn.traces[i] != nil:
+		return sim.ReplayRetained(t.single, f.pn.traces[i]).Cycles
 	}
 	if t.basis == nil {
 		t.basis, t.prog = schedule.NewBasis(t.np), &schedule.Program{}
 	}
-	schedule.GatherInto(t.prog, schedule.Gather{B: t.basis, W: walk(i)})
-	return sim.RunProgramOnce(t.single, opts, t.prog).Cycles
+	schedule.GatherInto(t.prog, schedule.Gather{B: t.basis, W: f.walk(i)})
+	return sim.RunProgramOnce(t.single, sim.Options{}, t.prog).Cycles
 }

@@ -78,6 +78,22 @@ func PlanModel(cfg config.NPU, m workload.Model) []LayerPlan {
 	return plans
 }
 
+// CheckFit reports an error when a layer of plans has a tile larger than
+// the residency half of one core's scratchpad (SPMBytes/2, the smallest
+// set any engine gives a tile; a shared multi-core set is larger). Such a
+// tile can never be resident, so cfg cannot simulate the model: callers
+// check before simulating instead of letting the engine panic.
+func CheckFit(cfg config.NPU, plans []LayerPlan) error {
+	capacity := cfg.SPMBytes / 2
+	for _, lp := range plans {
+		if b := lp.Params.MaxTileBytes(); b > capacity {
+			return fmt.Errorf("core: layer %s needs a tile of %d bytes, more than the SPM residency capacity of %d bytes (half of %d)",
+				lp.Layer.Name, b, capacity, cfg.SPMBytes)
+		}
+	}
+	return nil
+}
+
 // layerPair is one layer's forward/backward outcome, produced by the
 // runner fan-out and folded back into a ModelRun in network order.
 type layerPair struct {

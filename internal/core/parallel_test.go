@@ -36,7 +36,8 @@ func computeLayer(cfg config.NPU, p LayerPlan) layerResults {
 
 // TestParallelHammerMatchesSequential drives the tuning caches and the
 // layer memo from 16 goroutines at once against a cold cache and asserts
-// every goroutine sees results identical to a sequential cold run. Run
+// every goroutine sees results identical to a sequential cold run, and
+// that the resolved-trace census matches the sequential one. Run
 // with -race: this is the test that catches unsynchronized cache state.
 func TestParallelHammerMatchesSequential(t *testing.T) {
 	cfg := config.SmallNPU()
@@ -57,6 +58,7 @@ func TestParallelHammerMatchesSequential(t *testing.T) {
 	for i, p := range plans {
 		ref[i] = computeLayer(cfg, p)
 	}
+	census := sim.ResolvedCacheStats().Entries
 
 	// 16 goroutines recompute every layer concurrently against cold
 	// caches: misses race, GetOrCompute may compute twice, and every
@@ -79,6 +81,11 @@ func TestParallelHammerMatchesSequential(t *testing.T) {
 	}
 	wg.Wait()
 
+	// Miss races may resolve a trace twice, but the distinct census —
+	// panel resolutions included — must not see it.
+	if n := sim.ResolvedCacheStats().Entries; n != census {
+		t.Errorf("resolved-trace census %d under 16 goroutines, %d sequentially", n, census)
+	}
 	for g := range got {
 		for i := range plans {
 			if !reflect.DeepEqual(got[g][i], ref[i]) {

@@ -110,23 +110,21 @@ func forwardProgram(p schedule.TileParams) *schedule.Program {
 // and the serving layer's diagnostics read it).
 func ProgramCacheLen() int { return progCache.Len() }
 
-// Candidate-program panels. The tuners (baselineChoices, interleaveChoices,
+// Candidate-trace panels. The tuners (baselineChoices, interleaveChoices,
 // BestOrderSimulated) re-simulate their candidate schedules for every
 // hardware fingerprint, because the winner is timing-dependent — but the
 // candidate *streams* themselves depend on the configuration only through
 // SPMBytes (chunk sizing) and ElemBytes, exactly like the tuned programs
-// above. A panel retains one canonical shape's candidate family as
-// compiled programs under that narrower key, so a bandwidth sweep's
-// re-tuning does ONE cache lookup per family and then replays retained
-// programs through the sim layer's resolved-trace cache. (An earlier
-// revision keyed each candidate individually; hashing the wide
-// per-candidate key ~30k times per sweep cost as much as the replays it
-// guarded.) Panels are per tuner family — baseline pair, fusion set,
-// chunked majors — and built only when that tuner first reaches the
-// shape. Each build lowers the shape's compiled op basis once and gathers
-// every candidate of the family from it along the candidate's walk
-// (schedule.Basis): a family costs one basis lowering plus one gather per
-// candidate, and its programs share one tile table.
+// above. That narrower key also fixes the residency capacity (SPMBytes/2),
+// and tuners never enable study options, so it fixes each candidate's
+// residency-resolved trace too (DESIGN.md §3l). A panel retains one
+// canonical shape's candidate family as those traces — 8 B/op, against
+// the 56 B/op of a compiled program — so a bandwidth sweep's re-tuning
+// does ONE cache lookup per family and then replays. (An earlier revision
+// keyed each candidate individually; hashing the wide per-candidate key
+// ~30k times per sweep cost as much as the replays it guarded.) Panels
+// are per tuner family — baseline orders, fusion set, chunked majors —
+// and built only when that tuner first reaches the shape.
 
 // panelKey identifies one shape's candidate panel up to tensor renaming
 // and hardware timing.
@@ -136,138 +134,74 @@ type panelKey struct {
 	elem int
 }
 
-// basePanel holds the baseline tuner's isolated candidates, indexed like
-// dxOrders and dwOrders.
-type basePanel struct {
-	dx [2]*schedule.Program
-	dw [2]*schedule.Program
-}
-
-// mergeProg is one fused-stream candidate: its (dx order, dw order,
-// granularity) choice and the retained program.
-type mergeProg struct {
-	v    ordersVal
-	prog *schedule.Program
-}
-
-// mergeSet lists one shape's valid fusion combinations in the joint
-// tuner's exploration order (mergeCandidates).
-type mergeSet []mergeProg
-
-// majorPanel holds the two chunked-major rearranged candidates.
-type majorPanel struct {
-	dxMajor *schedule.Program
-	dwMajor *schedule.Program
+// panel holds one family's candidate traces in the family's exploration
+// order. A nil trace did not fit the compact trace encoding; the tuner
+// prices that candidate on the engine instead.
+type panel struct {
+	traces []*sim.ResolvedTrace
 }
 
 var (
-	basePanels  = runner.NewCache[panelKey, *basePanel]("core/baseline-panel")
-	mergePanels = runner.NewCache[panelKey, mergeSet]("core/merge-panel")
-	majorPanels = runner.NewCache[panelKey, *majorPanel]("core/major-panel")
+	basePanels  = runner.NewCache[panelKey, *panel]("core/baseline-panel")
+	mergePanels = runner.NewCache[panelKey, *panel]("core/merge-panel")
+	majorPanels = runner.NewCache[panelKey, *panel]("core/major-panel")
 )
 
 // panelOpBudget bounds the single-GEMM op count up to which candidate
-// panels are compiled and retained. A panel pays off when the same shape
+// panels are resolved and retained. A panel pays off when the same shape
 // is re-tuned under many hardware fingerprints (bandwidth sweeps), whose
 // shapes are small; for the huge op grids of tiny-SPM configurations (the
 // GPU validation study's 128 KB buffer) retaining a dozen multi-megabyte
-// candidate programs per shape grows the heap far faster than the replays
+// candidate traces per shape grows the heap far faster than the replays
 // repay. Oversized shapes gather-and-run-once instead: each tuner call
 // lowers one transient basis and prices every candidate on the one-shot
 // engine, reaching bit-identical tuning decisions (the candidate orders
 // match and the two paths are property-tested equal).
 const panelOpBudget = 1 << 13
 
-// panelFor wraps the shared compute of one panel family: nil (tuners then
-// gather per call) when the shape's op grid exceeds the panel budget.
-// Shared values: a miss race converges on one panel, so the program
-// pointers keying the sim layer's resolved-trace cache stay canonical at
-// any -j.
-func panelFor[V any](cache *runner.Cache[panelKey, V], single config.NPU, np schedule.TileParams, build func(*schedule.Basis) V) V {
-	if np.OpCount() > panelOpBudget {
-		var zero V
-		return zero
+// family is one candidate family as a tuner call sees it: the panel (nil
+// without one), the cycles its build resolved when this call built it
+// (nil otherwise), and the candidates' walks.
+type family struct {
+	pn    *panel
+	built []int64
+	walk  func(i int) schedule.Walk
+}
+
+// panelFor returns np's view of one family, whose n candidates walk lists,
+// building the family's panel on first use: one transient basis, each
+// candidate gathered into one reused program buffer and resolved, and only
+// the traces kept. The building tuner call prices its candidates from the
+// resolved cycles rather than replaying what it just resolved. The panel
+// is nil (tuners then gather per call) when the shape's op grid exceeds
+// the panel budget or two-phase execution is disabled
+// (sim.SetResidencyCacheCap(0): every candidate then runs on the engine).
+func panelFor(cache *runner.Cache[panelKey, *panel], single config.NPU, np schedule.TileParams, n int, walk func(i int) schedule.Walk) family {
+	f := family{walk: walk}
+	if np.OpCount() > panelOpBudget || sim.ResidencyCacheCap() == 0 {
+		return f
 	}
 	key := panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes}
-	return cache.GetOrComputeShared(key, func() V { return build(schedule.NewBasis(np)) })
-}
-
-// gather1 gathers a one-kernel program from b.
-func gather1(b *schedule.Basis, w schedule.Walk) *schedule.Program {
-	return schedule.GatherProgram(schedule.Gather{B: b, W: w})
-}
-
-func baselinePanel(single config.NPU, np schedule.TileParams) *basePanel {
-	return panelFor(basePanels, single, np, func(b *schedule.Basis) *basePanel {
-		pn := &basePanel{}
-		for i, o := range dxOrders {
-			pn.dx[i] = gather1(b, schedule.BaselineDXWalk(o))
-		}
-		for i, o := range dwOrders {
-			pn.dw[i] = gather1(b, schedule.BaselineDWWalk(o))
-		}
-		return pn
-	})
-}
-
-func mergePanel(single config.NPU, np schedule.TileParams) mergeSet {
-	return panelFor(mergePanels, single, np, func(b *schedule.Basis) mergeSet {
-		vs := mergeCandidates(np)
-		set := make(mergeSet, len(vs))
-		for i, v := range vs {
-			set[i] = mergeProg{v: v, prog: gather1(b, mergeWalk(v))}
-		}
-		return set
-	})
-}
-
-func majorPanelFor(single config.NPU, np schedule.TileParams) *majorPanel {
-	return panelFor(majorPanels, single, np, func(b *schedule.Basis) *majorPanel {
-		return &majorPanel{
-			dxMajor: gather1(b, dxMajorWalk(single, np).w),
-			dwMajor: gather1(b, dwMajorWalk(single, np).w),
-		}
-	})
-}
-
-// dxProg / dwProg / progFor / *MajorProg return the retained program for
-// one candidate, or nil on a nil panel — the tuner then gathers or emits
-// the candidate itself.
-func (pn *basePanel) dxProg(i int) *schedule.Program {
-	if pn == nil {
-		return nil
+	var ok bool
+	if f.pn, ok = cache.Get(key); ok {
+		return f
 	}
-	return pn.dx[i]
-}
-
-func (pn *basePanel) dwProg(i int) *schedule.Program {
-	if pn == nil {
-		return nil
+	b := schedule.NewBasis(np)
+	prog := &schedule.Program{}
+	fresh := &panel{traces: make([]*sim.ResolvedTrace, n)}
+	f.built = make([]int64, n)
+	for i := range fresh.traces {
+		schedule.GatherInto(prog, schedule.Gather{B: b, W: walk(i)})
+		res, rt := sim.ResolveRetained(single, prog)
+		fresh.traces[i], f.built[i] = rt, res.Cycles
 	}
-	return pn.dw[i]
-}
-
-func (s mergeSet) progFor(v ordersVal) *schedule.Program {
-	for i := range s {
-		if s[i].v == v {
-			return s[i].prog
-		}
+	// A miss race resolves the family twice but publishes it once; only the
+	// published panel joins the resolved-trace census, so the census is the
+	// same at any -j.
+	if f.pn = cache.PutIfAbsent(key, fresh); f.pn == fresh {
+		sim.NoteRetained(n)
 	}
-	return nil
-}
-
-func (pn *majorPanel) dxMajorProg() *schedule.Program {
-	if pn == nil {
-		return nil
-	}
-	return pn.dxMajor
-}
-
-func (pn *majorPanel) dwMajorProg() *schedule.Program {
-	if pn == nil {
-		return nil
-	}
-	return pn.dwMajor
+	return f
 }
 
 // tuneParams canonicalizes tile parameters to the equivalence the tuning

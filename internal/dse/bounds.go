@@ -56,30 +56,48 @@ type floorsKey struct {
 type boundsCtx struct {
 	space Space
 	mu    sync.Mutex
-	memo  map[floorsKey][]layerFloors
+	memo  map[floorsKey]planFloors
+}
+
+// planFloors is one memo entry: the per-layer floors, or why the lowered
+// plan cannot be simulated (core.CheckFit).
+type planFloors struct {
+	layers []layerFloors
+	fit    error
 }
 
 func newBoundsCtx(s Space) *boundsCtx {
-	return &boundsCtx{space: s, memo: make(map[floorsKey][]layerFloors)}
+	return &boundsCtx{space: s, memo: make(map[floorsKey]planFloors)}
 }
 
-func (b *boundsCtx) layers(cfg config.NPU) []layerFloors {
+// check reports why a point cannot be simulated: an invalid
+// configuration, or a tile larger than its SPM residency half.
+func (b *boundsCtx) check(cfg config.NPU) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return b.plan(cfg).fit
+}
+
+func (b *boundsCtx) plan(cfg config.NPU) planFloors {
 	key := floorsKey{cfg.Cores, cfg.SPMBytes, cfg.TkCap}
 	b.mu.Lock()
-	lf, ok := b.memo[key]
+	pf, ok := b.memo[key]
 	b.mu.Unlock()
 	if ok {
-		return lf
+		return pf
 	}
 	plan := core.PlanModel(cfg, b.space.Model)
-	lf = make([]layerFloors, len(plan))
-	for i, lp := range plan {
-		lf[i] = layerFloors{floors: analytic.FloorsOf(cfg, lp.Params), skipDX: lp.Layer.SkipDX}
+	if pf.fit = core.CheckFit(cfg, plan); pf.fit == nil {
+		pf.layers = make([]layerFloors, len(plan))
+		for i, lp := range plan {
+			pf.layers[i] = layerFloors{floors: analytic.FloorsOf(cfg, lp.Params), skipDX: lp.Layer.SkipDX}
+		}
 	}
 	b.mu.Lock()
-	b.memo[key] = lf
+	b.memo[key] = pf
 	b.mu.Unlock()
-	return lf
+	return pf
 }
 
 // redCapScale/redCapSlack turn the raw LB/Est reduction gap into the cap;
@@ -132,14 +150,14 @@ func capacityExtra(cfg config.NPU, f analytic.Floors, skipDX bool) float64 {
 	return capRefetchFactor * excess / bpc
 }
 
-// bounds computes one valid point's Bounds. cfg must have passed Validate.
+// bounds computes one valid point's Bounds. cfg must have passed check.
 // The cycle/traffic legs are policy-independent (they bound every policy);
 // the reduction cap is exactly zero for baseline-policy points — their
 // reduction is zero by definition — and the engineered estimate otherwise.
 func (b *boundsCtx) bounds(cfg config.NPU, pol core.Policy) Bounds {
 	var lb, lbSeq, trafficLB, dyCycles int64
 	var baseEst, capExtra float64
-	for _, lf := range b.layers(cfg) {
+	for _, lf := range b.plan(cfg).layers {
 		fwd := lf.floors.Forward(cfg)
 		bwd := lf.floors.Backward(cfg, lf.skipDX, false)
 		lb += fwd.Cycles + bwd.Cycles

@@ -141,7 +141,8 @@ const (
 	// StatusPruned rows were skipped because a simulated point dominates
 	// their analytic bounds; PrunedBy names the witness.
 	StatusPruned Status = "pruned"
-	// StatusSkipped rows had an invalid configuration; Reason says why.
+	// StatusSkipped rows had an invalid configuration, or one whose SPM
+	// cannot hold the model's tiles; Reason says why.
 	StatusSkipped Status = "skipped"
 	// StatusBudget rows were unpruned but beyond the -budget simulation
 	// allowance.
@@ -154,7 +155,7 @@ const (
 type Row struct {
 	Index  int    `json:"index"`
 	Status Status `json:"status"`
-	// Reason explains StatusSkipped rows (the Validate error).
+	// Reason explains StatusSkipped rows (the Validate or tile-fit error).
 	Reason string `json:"reason,omitempty"`
 
 	// CyclesLB and TrafficLB are sound lower bounds on the point's

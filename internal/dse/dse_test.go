@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"igosim/internal/config"
@@ -247,21 +248,27 @@ func TestBudget(t *testing.T) {
 	}
 }
 
-// TestSkippedRows drives an invalid corner (zero-byte SPM) through the
-// sweep: it must land as a skipped row with a reason, not abort the run.
+// TestSkippedRows drives two corners through the sweep: an invalid one
+// (zero-byte SPM) and a valid one whose SPM cannot hold the model's tiles,
+// which used to panic the engine. Both must land as skipped rows with a
+// reason, the latter the tile-fit error, not abort the run.
 func TestSkippedRows(t *testing.T) {
 	s := testSpace()
-	s.SPMMiB = []float64{1, 0}
+	s.SPMMiB = []float64{1, 0, 0.001}
 	res := mustRun(t, s, Options{})
-	if res.Skipped == 0 {
-		t.Fatal("invalid corner not skipped")
-	}
 	if res.Simulated == 0 {
 		t.Fatal("valid points not simulated")
 	}
 	for _, r := range res.Rows {
+		spm := s.Point(r.Index).SPMMiB
+		if (spm < 1) != (r.Status == StatusSkipped) {
+			t.Errorf("point %d (SPM %g MiB) has status %s", r.Index, spm, r.Status)
+		}
 		if r.Status == StatusSkipped && r.Reason == "" {
 			t.Errorf("point %d skipped without reason", r.Index)
+		}
+		if spm > 0 && spm < 1 && !strings.Contains(r.Reason, "tile of") {
+			t.Errorf("point %d skipped with reason %q, want the tile-fit error", r.Index, r.Reason)
 		}
 	}
 }

@@ -204,8 +204,9 @@ func (st *sweepState) shardRows(s runner.Shard) ([]Row, error) {
 	return rows, nil
 }
 
-// computeShard runs one shard: bounds for every point (invalid configs
-// become skipped rows instead of aborting the sweep), then wave-by-wave
+// computeShard runs one shard: bounds for every point (invalid configs,
+// and configs whose SPM cannot hold the model's tiles, become skipped rows
+// instead of aborting the sweep), then wave-by-wave
 // pruning and simulation against the frontier as of the shard start.
 func (st *sweepState) computeShard(s runner.Shard) []Row {
 	o := st.o
@@ -221,7 +222,7 @@ func (st *sweepState) computeShard(s runner.Shard) []Row {
 		p := st.space.Point(idx)
 		cfg := st.space.Config(p)
 		row := Row{Index: idx, PrunedBy: -1}
-		if err := cfg.Validate(); err != nil {
+		if err := st.bounds.check(cfg); err != nil {
 			row.Status = StatusSkipped
 			row.Reason = err.Error()
 			return row

@@ -23,12 +23,14 @@ import (
 // distinct keys ever requested does not depend on worker interleaving,
 // even though the hit/miss split and the surviving resident set do. The
 // stats sizer reports len(seen) for exactly that reason — manifests and
-// benchmark gates need a -j-independent entry count.
+// benchmark gates need a -j-independent entry count. Values the owner
+// resolves but retains elsewhere join the census through NoteDistinct.
 type Bounded[K comparable, V any] struct {
 	mu       sync.Mutex
 	cap      int
 	m        map[K]*boundedEntry[K, V]
 	seen     map[K]struct{}
+	noted    int                 // census entries retained outside the cache (NoteDistinct)
 	head     *boundedEntry[K, V] // most recently used
 	tail     *boundedEntry[K, V] // least recently used
 	counters *stats.CacheCounters
@@ -174,12 +176,23 @@ func (b *Bounded[K, V]) Len() int {
 }
 
 // Distinct returns the number of distinct keys ever requested (via Get or
-// admitted Put) since the last Reset. Unlike Len or the hit/miss split,
-// this count is independent of worker interleaving for a fixed workload.
+// admitted Put) since the last Reset, plus the values noted with
+// NoteDistinct. Unlike Len or the hit/miss split, this count is
+// independent of worker interleaving for a fixed workload.
 func (b *Bounded[K, V]) Distinct() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.seen)
+	return len(b.seen) + b.noted
+}
+
+// NoteDistinct adds n values to the census that were resolved for this
+// cache's purpose but are retained outside it, under keys it never sees.
+// The caller must note each logical value exactly once, whatever the
+// parallelism, or the census stops being -j-independent.
+func (b *Bounded[K, V]) NoteDistinct(n int) {
+	b.mu.Lock()
+	b.noted += n
+	b.mu.Unlock()
 }
 
 // Reset drops every entry, clears the seen-census, and zeroes counters.
@@ -187,6 +200,7 @@ func (b *Bounded[K, V]) Reset() {
 	b.mu.Lock()
 	b.m = make(map[K]*boundedEntry[K, V])
 	b.seen = make(map[K]struct{})
+	b.noted = 0
 	b.head, b.tail = nil, nil
 	b.mu.Unlock()
 	b.counters.Reset()

@@ -110,3 +110,23 @@ func TestCacheSpreadsAcrossShards(t *testing.T) {
 		t.Fatalf("only %d/%d shards used", used, cacheShards)
 	}
 }
+
+// TestBoundedNoteDistinct checks that noted values join the distinct
+// census, and its stats Entries, without becoming resident, and that Reset
+// clears them with the rest of the census.
+func TestBoundedNoteDistinct(t *testing.T) {
+	b := NewBounded[int, int]("test/bounded-note", 4)
+	b.Get(1)
+	b.Put(1, 10)
+	b.NoteDistinct(3)
+	if d, n := b.Distinct(), b.Len(); d != 4 || n != 1 {
+		t.Fatalf("Distinct = %d, Len = %d; want 4 and 1", d, n)
+	}
+	if e := b.Stats().Entries; e != 4 {
+		t.Fatalf("stats Entries = %d, want 4", e)
+	}
+	b.Reset()
+	if d := b.Distinct(); d != 0 {
+		t.Fatalf("Reset left a census of %d", d)
+	}
+}

@@ -176,6 +176,17 @@ func (p *TileParams) xTileBytes(r, c int) int64 {
 	return b
 }
 
+// MaxTileBytes returns the size of the largest tile p's ops touch: an
+// interior X or dX tile (Tm×Tk, im2col-scaled), W or dW tile (Tk×Tn), or
+// Y or dY tile (Tm×Tn). Edge tiles are clipped, so none is larger, and a
+// partition of p reuses its tiling, so none of its tiles is either.
+func (p TileParams) MaxTileBytes() int64 {
+	tm := min(p.Tiling.Tm, p.Dims.M)
+	tk := min(p.Tiling.Tk, p.Dims.K)
+	tn := min(p.Tiling.Tn, p.Dims.N)
+	return max(p.xTileBytes(tm, tk), p.tileBytes(tk, tn), p.tileBytes(tm, tn))
+}
+
 // XTile returns the X tile at local grid position (mo, ko).
 func (p *TileParams) XTile(mo, ko int) Tile {
 	r := clip(mo, p.Tiling.Tm, p.Dims.M)

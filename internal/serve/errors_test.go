@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"igosim/internal/config"
+	"igosim/internal/runner"
 )
 
 // errorBody decodes the structured error envelope.
@@ -248,5 +249,55 @@ func TestDrainingRefusesNewWork(t *testing.T) {
 	}
 	if e := errorBody(t, body); e.Code != CodeShuttingDown {
 		t.Errorf("code %q, want %q", e.Code, CodeShuttingDown)
+	}
+}
+
+// TestSPMTooSmallForTiles sends a configuration whose scratchpad cannot
+// hold the model's tiles, alone and inside a /batch whose members run on
+// runner workers, where an engine panic is beyond net/http's recovery and
+// would kill the server. Both must come back as invalid_config naming the
+// tile and the capacity, and the server must go on answering valid
+// requests.
+func TestSPMTooSmallForTiles(t *testing.T) {
+	prev := runner.SetParallelism(2)
+	defer runner.SetParallelism(prev)
+	_, ts := newTestServer(t, Options{})
+	small := config.SmallNPU()
+	small.SPMBytes = 4096
+	bad := Request{Workload: "ncf", Suite: "edge", Config: &small}
+	good := Request{Workload: "ncf", Suite: "edge", NPU: "small"}
+
+	checkErr := func(e Error) {
+		t.Helper()
+		if e.Code != CodeInvalidConfig {
+			t.Errorf("code %q, want %q (%s)", e.Code, CodeInvalidConfig, e.Message)
+		}
+		for _, want := range []string{"tile of", "capacity of 2048 bytes"} {
+			if !strings.Contains(e.Message, want) {
+				t.Errorf("message %q does not mention %q", e.Message, want)
+			}
+		}
+	}
+	status, body, _ := post(t, ts.Client(), ts.URL+"/simulate", bad)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("too-small SPM: status %d, want %d: %s", status, http.StatusUnprocessableEntity, body)
+	}
+	checkErr(errorBody(t, body))
+
+	status, body, _ = post(t, ts.Client(), ts.URL+"/batch", []Request{bad, good})
+	if status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, body)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(body, &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 2 || br.Results[0].Error == nil || br.Results[1].Result == nil {
+		t.Fatalf("batch results %s, want an error then a result", body)
+	}
+	checkErr(*br.Results[0].Error)
+
+	if status, body, _ := post(t, ts.Client(), ts.URL+"/simulate", good); status != http.StatusOK {
+		t.Fatalf("valid request after the rejected one: status %d: %s", status, body)
 	}
 }

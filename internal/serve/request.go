@@ -266,6 +266,11 @@ func canonicalize(req Request) (resolved, *Error) {
 	if err := cfg.Validate(); err != nil {
 		return r, badRequest(CodeInvalidConfig, "%v", err)
 	}
+	// Checked here, not left to the engine: a panic inside a /batch
+	// worker goroutine is beyond net/http's recovery and kills the server.
+	if err := core.CheckFit(cfg, core.PlanModel(cfg, model)); err != nil {
+		return r, badRequest(CodeInvalidConfig, "%v", err)
+	}
 	if req.Options.Report && cfg.Cores != 1 {
 		return r, badRequest(CodeInvalidConfig,
 			"trace reports require a single-core configuration (got %d cores)", cfg.Cores)

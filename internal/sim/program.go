@@ -82,8 +82,8 @@ func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 
 // RunProgramOnce executes prog on a pooled engine without consulting or
 // filling the resolved-trace cache: the path for transient programs (a
-// tuner's large-shape candidates, gathered into one reused buffer), whose
-// pointer must never key a retained trace.
+// tuner's candidates that have no panel trace, gathered into one reused
+// buffer), whose pointer must never key a retained trace.
 func RunProgramOnce(cfg config.NPU, opts Options, prog *schedule.Program) Result {
 	cr := compiledPool.Get()
 	e := &cr.eng

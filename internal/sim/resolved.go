@@ -181,6 +181,37 @@ func ResolveProgram(cfg config.NPU, opts Options, prog *schedule.Program) (Resul
 	return res, rt
 }
 
+// Caller-retained traces. The core tuner panels keep each candidate's
+// trace themselves, under a key (canonical shape, SPM size, element size)
+// that already fixes the residency capacity, rather than caching a
+// retained program here by pointer. ResolveRetained and ReplayRetained
+// count their work in the same phase split as RunProgram's misses and
+// hits, and NoteRetained adds published traces to the distinct census, so
+// the resolution/replay accounting does not depend on where a trace lives.
+
+// ResolveRetained resolves prog under cfg with no study options for a
+// caller that retains the trace itself, counting one resolution phase.
+// prog may be a reused buffer: the trace keeps no reference to it.
+func ResolveRetained(cfg config.NPU, prog *schedule.Program) (Result, *ResolvedTrace) {
+	res, rt := ResolveProgram(cfg, Options{}, prog)
+	resolvedPhases.Resolution()
+	return res, rt
+}
+
+// ReplayRetained replays a caller-retained trace under cfg, counting one
+// replay phase and one engine pass, exactly as a RunProgram cache hit does.
+func ReplayRetained(cfg config.NPU, rt *ResolvedTrace) Result {
+	res := rt.Replay(cfg)
+	resolvedPhases.Replay()
+	countPass(res)
+	return res
+}
+
+// NoteRetained adds n caller-retained resolutions to the resolved-trace
+// census (ResolvedCacheStats().Entries). Call it once per published set,
+// from the winner of a miss race, so the census is the same at any -j.
+func NoteRetained(n int) { resolvedCache.NoteDistinct(n) }
+
 // record captures one op's resolved coefficients. Falls back (recOK=false,
 // trace discarded) when totals overflow the compact encoding; the run's
 // Result is unaffected either way.
@@ -230,11 +261,14 @@ type resolvedKey struct {
 
 // defaultResolvedCacheCap bounds the resolved-trace cache. Traces cost
 // 8 B/op plus the aggregate result, so typical programs pin a few KiB per
-// entry. The default must comfortably hold a grid's distinct-trace working
-// set — the canonical 240-point sweep needs ~1.6k (mostly partition tuning
-// candidates) and an undersized cache re-resolves instead of replaying,
-// ~8× the work — while keeping worst-case pin bounded; sweeps with wider
-// working sets raise it via SetResidencyCacheCap (-residency-cache).
+// entry. The default must comfortably hold a grid's working set of
+// final-program traces (backward, partitioned and forward programs; the
+// tuner panels retain their candidate traces themselves) — the canonical
+// 240-point sweep keys 193 here, and an undersized cache re-resolves
+// instead of replaying — while keeping worst-case pin bounded. Serving
+// and wide sweeps see far more distinct programs than one grid, hence
+// the slack; sweeps with wider working sets raise it via
+// SetResidencyCacheCap (-residency-cache).
 const defaultResolvedCacheCap = 8192
 
 var (
