@@ -79,6 +79,7 @@ func main() {
 	}{
 		{"CompiledEngine/compiled", w.Pass()},
 		{"CompiledEngine/steady", w.Steady()},
+		{"BasisGather/multicore", w.Gather()},
 	} {
 		r := testing.Benchmark(b.fn)
 		e := entry{Name: b.name, NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp()}

@@ -8,6 +8,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"igosim/internal/config"
@@ -23,7 +25,9 @@ import (
 type Workload struct {
 	Cfg   config.NPU
 	Model [][]schedule.Schedule
-	Bytes int64
+	// Params holds each layer's tile parameters.
+	Params []schedule.TileParams
+	Bytes  int64
 }
 
 // ResNet50Backward lowers the acceptance workload: every ResNet-50 layer's
@@ -43,6 +47,7 @@ func ResNet50Backward() Workload {
 			kernels = kernels[1:]
 		}
 		w.Model = append(w.Model, kernels)
+		w.Params = append(w.Params, p)
 	}
 	for _, kernels := range w.Model {
 		r := sim.RunSchedules(cfg, sim.Options{}, kernels...)
@@ -100,6 +105,51 @@ func (w Workload) Steady() func(*testing.B) {
 				e.RunProgram(&progs[pi])
 				if e.Result().Ops == 0 {
 					b.Fatal("empty result")
+				}
+			}
+		}
+	}
+}
+
+// gatherCores are the core counts of the Gather benchmark's plans.
+var gatherCores = []int{2, 4, 8}
+
+// Gather returns a benchmark body for the compiled-op basis stage of the
+// multi-core path: every layer's plan under every partitioning scheme at
+// each of gatherCores lowered to bases, and each part's conventional dX
+// and dW kernels gathered into its core's program. Plans are built
+// outside the loop.
+//
+// perf-check gates this row's allocs/op, and a GC cycle allocates
+// runtime-internal objects that the count includes, so iterations run
+// with the collector off, each after a forced collection outside the
+// timer: the heap never holds more than one iteration's programs, and
+// what the runtime still allocates around a collection (a handful of
+// objects) stays far inside the gate's 0.1% of the ~19k allocs/op.
+func (w Workload) Gather() func(*testing.B) {
+	return func(b *testing.B) {
+		var plans []core.Plan
+		for _, p := range w.Params {
+			for _, scheme := range core.Schemes() {
+				for _, cores := range gatherCores {
+					plans = append(plans, core.PartitionLayer(p, scheme, cores))
+				}
+			}
+		}
+		dx, dw := schedule.BaselineDXWalk(schedule.DXOrderMK), schedule.BaselineDWWalk(schedule.DWOrderKN)
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+			for _, plan := range plans {
+				for _, basis := range schedule.NewBases(plan.Parts...) {
+					prog := schedule.GatherProgram(schedule.Gather{Name: "dx", B: basis, W: dx}, schedule.Gather{Name: "dw", B: basis, W: dw})
+					if prog.Ops() == 0 {
+						b.Fatal("empty program")
+					}
 				}
 			}
 		}

@@ -129,6 +129,9 @@ func baselineWalks(v ordersVal) []kernelWalk {
 	}
 }
 
+// forwardWalk is the forward pass's one kernel.
+var forwardWalk = kernelWalk{"forward", schedule.ForwardWalk()}
+
 func dwOnlyWalk(v ordersVal) kernelWalk {
 	return kernelWalk{"dW-only", schedule.BaselineDWWalk(v.dw)}
 }

@@ -219,8 +219,9 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 	// Partitions are separate kernels on one core: the scratchpad is flushed
 	// between them, exactly as at any kernel boundary. Untraced runs replay
 	// a shared pre-lowered program (per-part orders resolved first,
-	// mirroring backwardProgram); otherwise the kernels are emitted and
-	// simulated directly.
+	// mirroring backwardProgram); traced runs and plans that cache does not
+	// retain gather a transient program from the plan's bases and run it
+	// once.
 	var out LayerOutcome
 	var orderList []Order
 	if useProgramCache(opts) {
@@ -230,14 +231,11 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 		}
 	}
 	if orderList == nil {
-		scheds := make([]schedule.Schedule, 0, len(plan.Parts))
-		orderList = make([]Order, 0, len(plan.Parts))
-		for _, sub := range plan.Parts {
-			sched, o := RearrangedTuned(cfg, sub)
-			orderList = append(orderList, o)
-			scheds = append(scheds, sched)
+		orderList = make([]Order, len(plan.Parts))
+		for i, sub := range plan.Parts {
+			orderList[i] = BestOrderSimulated(cfg, sub)
 		}
-		out = outcomeFromResult(sim.RunSchedules(cfg, opts, scheds...))
+		out = outcomeFromResult(sim.RunProgramOnce(cfg, opts, gatherRearranged(cfg, plan, orderList)))
 	}
 	out.addReductions(plan.ReduceResults(cfg))
 	out.Dims = p.Dims
@@ -340,26 +338,24 @@ func runBackwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams, p
 }
 
 // runMultiPlanPolicy executes a plan's partitions concurrently, one per
-// core, with each partition's stream generated per the policy. Kernel
+// core, with each partition's stream walked per the policy. Kernel
 // boundaries are synchronized across cores (data parallelism launches each
 // gradient kernel on all cores together), so the baseline runs as two
-// phases with a shared-SPM flush in between.
+// phases with a shared-SPM flush in between. Each core's program is
+// gathered from the plan's bases, whose one symbol table holds every
+// part's real tile keys, so traced runs keep their labels.
 func runMultiPlanPolicy(cfg config.NPU, opts sim.Options, plan Plan, pol Policy, sharedSPM bool) LayerOutcome {
 	var order Order
-	var phases [][][]schedule.Op
-	for _, sub := range plan.Parts {
-		kernels, o := BackwardKernels(cfg, sub, pol, false)
+	bases := schedule.NewBases(plan.Parts...)
+	progs := make([]*schedule.Program, len(plan.Parts))
+	for i, sub := range plan.Parts {
+		kernels, o := backwardWalks(cfg, sub, pol, false)
 		// Parts may choose different orders; like runPartitionedSingle, the
 		// last part's order represents the plan.
 		order = o
-		for k, kernel := range kernels {
-			if k >= len(phases) {
-				phases = append(phases, nil)
-			}
-			phases[k] = append(phases[k], kernel.Ops)
-		}
+		progs[i] = gatherKernels(bases[i], kernels)
 	}
-	out := finishMulti(cfg, sim.RunMultiPhased(cfg, opts, phases, sharedSPM), plan)
+	out := finishMulti(cfg, sim.RunMultiProgram(cfg, opts, progs, sharedSPM), plan)
 	out.Order = order
 	out.Scheme = plan.Scheme
 	out.Parts = len(plan.Parts)
@@ -371,12 +367,13 @@ func runMultiPlan(cfg config.NPU, opts sim.Options, plan Plan, dwOnly bool) Laye
 	if !dwOnly {
 		return runMultiPlanPolicy(cfg, opts, plan, PolBaseline, false)
 	}
-	var streams [][]schedule.Op
-	for _, sub := range plan.Parts {
-		streams = append(streams, TunedDWOnly(cfg, sub).Ops)
+	bases := schedule.NewBases(plan.Parts...)
+	progs := make([]*schedule.Program, len(plan.Parts))
+	for i, sub := range plan.Parts {
+		progs[i] = gatherKernels(bases[i], []kernelWalk{dwOnlyWalk(baselineChoices(cfg, sub))})
 	}
 	// dW-only layers run as conventional data parallelism: private buffers.
-	out := finishMulti(cfg, sim.RunMultiPhased(cfg, opts, [][][]schedule.Op{streams}, false), plan)
+	out := finishMulti(cfg, sim.RunMultiProgram(cfg, opts, progs, false), plan)
 	out.Scheme = plan.Scheme
 	out.Parts = len(plan.Parts)
 	return out
@@ -415,16 +412,18 @@ func runForwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams) La
 	if cfg.Cores == 1 {
 		return RunForward(cfg, opts, p)
 	}
+	// The forward layout holds X, W and Y only, so the plan's partial-dW
+	// redirection does not reach the forward ops.
 	plan := PartitionLayer(p, WeightSharing, cfg.Cores)
-	var streams [][]schedule.Op
-	for _, sub := range plan.Parts {
-		sub.DWPartial = false // forward pass computes Y, not dW
-		streams = append(streams, schedule.Forward(sub).Ops)
+	bases := schedule.NewForwardBases(plan.Parts...)
+	progs := make([]*schedule.Program, len(plan.Parts))
+	for i := range plan.Parts {
+		progs[i] = gatherKernels(bases[i], []kernelWalk{forwardWalk})
 	}
 	// The forward pass runs as conventional data parallelism: private
 	// per-core buffers.
 	fopts := sim.Options{Trace: opts.Trace, TraceLabel: opts.TraceLabel}
-	mr := sim.RunMultiPhased(cfg, fopts, [][][]schedule.Op{streams}, false)
+	mr := sim.RunMultiProgram(cfg, fopts, progs, false)
 	out := LayerOutcome{
 		Cycles:     mr.Cycles,
 		Traffic:    mr.Traffic,

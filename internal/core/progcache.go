@@ -19,7 +19,7 @@ import (
 // the same dense program under each timing. Programs are never emitted as
 // []Op: each is gathered from the shape's compiled op basis along the
 // tuned kernels' walks (schedule.Basis, DESIGN.md §3k), the same walks
-// BackwardKernels emits for traced runs.
+// BackwardKernels emits for traced single-core runs.
 //
 // Soundness: the tuned candidates ARE bandwidth-dependent (the tuner
 // simulates to pick them), so they are resolved first — through their own
@@ -83,14 +83,18 @@ func backwardProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 	// logical program or the distinct-key census would vary with -j.
 	prog := progCache.GetOrComputeShared(key, func() *schedule.Program {
 		kernels, _ := backwardWalks(cfg, np, pol, skipDX)
-		b := schedule.NewBasis(np)
-		gs := make([]schedule.Gather, len(kernels))
-		for i, k := range kernels {
-			gs[i] = schedule.Gather{Name: k.name, B: b, W: k.w}
-		}
-		return schedule.GatherProgram(gs...)
+		return gatherKernels(schedule.NewBasis(np), kernels)
 	})
 	return prog, key.order
+}
+
+// gatherKernels gathers one program with a kernel per walk from basis b.
+func gatherKernels(b *schedule.Basis, kernels []kernelWalk) *schedule.Program {
+	gs := make([]schedule.Gather, len(kernels))
+	for i, k := range kernels {
+		gs[i] = schedule.Gather{Name: k.name, B: b, W: k.w}
+	}
+	return schedule.GatherProgram(gs...)
 }
 
 // forwardProgram returns the retained compiled program for one layer's
@@ -102,7 +106,7 @@ func forwardProgram(p schedule.TileParams) *schedule.Program {
 	np.Layer, np.Part = 0, 0
 	key := progKey{p: np, elem: np.ElemBytes, kind: memoForward}
 	return progCache.GetOrComputeShared(key, func() *schedule.Program {
-		return sim.CompileSchedules(schedule.Forward(np))
+		return gatherKernels(schedule.NewForwardBasis(np), []kernelWalk{forwardWalk})
 	})
 }
 
@@ -266,16 +270,21 @@ func partitionedProgram(cfg config.NPU, p schedule.TileParams, scheme Scheme, pa
 	}
 	prog := partCache.GetOrComputeShared(key, func() *schedule.Program {
 		// Rebuild from the normalized parent so the retained program's tile
-		// ids are canonical regardless of which layer resolved it first. The
-		// parts' bases share one symbol space, as one compilation would.
-		nplan := PartitionLayer(np, scheme, parts)
-		bases := schedule.NewBases(nplan.Parts...)
-		gs := make([]schedule.Gather, len(nplan.Parts))
-		for i, sub := range nplan.Parts {
-			k, _ := rearrangedWalk(cfg, sub, key.orders[i])
-			gs[i] = schedule.Gather{Name: k.name, B: bases[i], W: k.w}
-		}
-		return schedule.GatherProgram(gs...)
+		// ids are canonical regardless of which layer resolved it first.
+		return gatherRearranged(cfg, PartitionLayer(np, scheme, parts), orders)
 	})
 	return prog, orders, true
+}
+
+// gatherRearranged gathers a plan's parts as the kernels of one program,
+// part i rearranged in orders[i], from bases sharing one symbol space as
+// one compilation would.
+func gatherRearranged(cfg config.NPU, plan Plan, orders []Order) *schedule.Program {
+	bases := schedule.NewBases(plan.Parts...)
+	gs := make([]schedule.Gather, len(plan.Parts))
+	for i, sub := range plan.Parts {
+		k, _ := rearrangedWalk(cfg, sub, orders[i])
+		gs[i] = schedule.Gather{Name: k.name, B: bases[i], W: k.w}
+	}
+	return schedule.GatherProgram(gs...)
 }

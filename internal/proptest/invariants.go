@@ -77,6 +77,11 @@ func CheckOracle(c Case) error {
 // the case's partitioned multi-phase workload (Case.MultiPhases): every
 // counter bit-exact, per core and in aggregate, including shared hits,
 // under shared and private scratchpad placement and both free-dY modes.
+// It then does the same for per-core programs gathered from the plan's
+// bases (sim.RunMultiProgram, the path the core package runs): core ci
+// walks part (ci+pi) mod parts in phase pi, each phase along another of
+// the walks the multi-core policies use, against the oracle replaying the
+// same walks emitted as op streams.
 func CheckMultiOracle(c Case) error {
 	cfg := c.MultiConfig()
 	phases := c.MultiPhases()
@@ -86,6 +91,38 @@ func CheckMultiOracle(c Case) error {
 			want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, phases, shared)
 			if err := refmodel.CompareMulti(got, want); err != nil {
 				return fmt.Errorf("shared=%v freeDY=%v: %w", shared, free, err)
+			}
+		}
+	}
+
+	plan := core.PartitionLayer(c.Params(), c.Scheme, c.Cores)
+	bases := schedule.NewBases(plan.Parts...)
+	walks := []schedule.Walk{
+		schedule.Merge(schedule.BaselineDXWalk(schedule.DXOrderMK), schedule.BaselineDWWalk(schedule.DWOrderKN), 1),
+		core.DXMajorWalk(c.Chunk),
+		core.DWMajorWalk(c.Chunk),
+		schedule.BaselineDWWalk(schedule.DWOrderNK),
+	}
+	progs := make([]*schedule.Program, len(plan.Parts))
+	emitted := make([][][]schedule.Op, c.Phases)
+	for pi := range emitted {
+		emitted[pi] = make([][]schedule.Op, len(plan.Parts))
+	}
+	for ci := range progs {
+		gs := make([]schedule.Gather, c.Phases)
+		for pi := range gs {
+			part, w := (ci+pi)%len(plan.Parts), walks[pi%len(walks)]
+			gs[pi] = schedule.Gather{Name: fmt.Sprintf("phase%d", pi), B: bases[part], W: w}
+			emitted[pi][ci] = plan.Parts[part].Schedule("", w).Ops
+		}
+		progs[ci] = schedule.GatherProgram(gs...)
+	}
+	for _, shared := range []bool{true, false} {
+		for _, free := range []bool{false, true} {
+			got := sim.RunMultiProgram(cfg, sim.Options{FreeDYOnDW: free}, progs, shared)
+			want := refmodel.ReplayMulti(cfg, refmodel.Options{FreeDYOnDW: free}, emitted, shared)
+			if err := refmodel.CompareMulti(got, want); err != nil {
+				return fmt.Errorf("gathered shared=%v freeDY=%v: %w", shared, free, err)
 			}
 		}
 	}
@@ -400,23 +437,14 @@ func passBelow(pass string, pb analytic.PassBounds, r sim.Result, traffic, mem i
 // (zero, one and past the grid are all legal), a fusion block past the
 // stream length, and the partitioned plan's sub-shapes — grid offsets and
 // partial-sum redirection — gathered from bases sharing one symbol space.
+// The basis table must be exact: gathering every op of the bases once
+// reaches each of its keys, so the table lists exactly the distinct tiles
+// of the compiled emitted schedule, each once.
 func CheckBasisGather(c Case) error {
 	cfg := c.Config()
 	p := c.Params()
-	type kernel struct {
-		name string
-		p    schedule.TileParams
-		w    schedule.Walk
-	}
 	check := func(label string, b []*schedule.Basis, ks []kernel) error {
-		gs := make([]schedule.Gather, len(ks))
-		scheds := make([]schedule.Schedule, len(ks))
-		for i, k := range ks {
-			gs[i] = schedule.Gather{Name: k.name, B: b[i], W: k.w}
-			scheds[i] = k.p.Schedule(k.name, k.w)
-		}
-		got := schedule.GatherProgram(gs...)
-		want := sim.CompileSchedules(scheds...)
+		got, want := gatherAndCompile(b, ks)
 		if err := sameUpToRenaming(got, want); err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
@@ -458,6 +486,27 @@ func CheckBasisGather(c Case) error {
 
 	plan := core.PartitionLayer(p, c.Scheme, c.Parts)
 	bases := schedule.NewBases(plan.Parts...)
+	all := schedule.NestWalk([3]schedule.Axis{schedule.AxisM, schedule.AxisK, schedule.AxisN}, schedule.KindDX, schedule.KindDW)
+	ks := make([]kernel, len(plan.Parts))
+	for i, sub := range plan.Parts {
+		ks[i] = kernel{fmt.Sprintf("part%d", i), sub, all}
+	}
+	for _, t := range []struct {
+		label string
+		b     []*schedule.Basis
+		ks    []kernel
+	}{
+		{"basis", b, []kernel{{"all", p, all}}},
+		{"plan basis", bases, ks},
+	} {
+		if err := check(t.label, t.b, t.ks); err != nil {
+			return err
+		}
+		got, want := gatherAndCompile(t.b, t.ks)
+		if err := exactTable(got.Table, want.Table); err != nil {
+			return fmt.Errorf("%s: %w", t.label, err)
+		}
+	}
 	for _, w := range []schedule.Walk{
 		core.DXMajorWalk(c.Chunk),
 		core.DWMajorWalk(c.Chunk),
@@ -470,6 +519,41 @@ func CheckBasisGather(c Case) error {
 		if err := check(fmt.Sprintf("%v x%d", c.Scheme, len(plan.Parts)), bases, ks); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// kernel is one kernel of a gathered program: walk w over shape p.
+type kernel struct {
+	name string
+	p    schedule.TileParams
+	w    schedule.Walk
+}
+
+// gatherAndCompile builds ks twice: gathered from bases b, and emitted
+// and compiled.
+func gatherAndCompile(b []*schedule.Basis, ks []kernel) (got, want *schedule.Program) {
+	gs := make([]schedule.Gather, len(ks))
+	scheds := make([]schedule.Schedule, len(ks))
+	for i, k := range ks {
+		gs[i] = schedule.Gather{Name: k.name, B: b[i], W: k.w}
+		scheds[i] = k.p.Schedule(k.name, k.w)
+	}
+	return schedule.GatherProgram(gs...), sim.CompileSchedules(scheds...)
+}
+
+// exactTable checks that a gathered program's table holds each key once
+// and as many keys as the compiled emitted program interns.
+func exactTable(got, want schedule.TileTable) error {
+	if got.Len() != want.Len() {
+		return fmt.Errorf("basis table holds %d tiles, the compiled schedule %d", got.Len(), want.Len())
+	}
+	seen := make(map[schedule.TileKey]bool, got.Len())
+	for _, k := range got.Keys {
+		if seen[k] {
+			return fmt.Errorf("basis table lists tile %v twice", k)
+		}
+		seen[k] = true
 	}
 	return nil
 }

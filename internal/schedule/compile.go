@@ -16,8 +16,9 @@ import (
 // read of a dW op (the Section 3.3 free-dY predicate) — is precomputed at
 // compile time into CompiledOp.
 
-// TileID is a dense per-program tile identifier assigned by interning
-// TileKeys in first-appearance order.
+// TileID is a dense per-program tile identifier: assigned by interning
+// TileKeys in first-appearance order, or computed from grid coordinates by
+// a Basis (basis.go).
 type TileID int32
 
 // OpFlags packs a compiled op's boolean properties.
@@ -57,8 +58,8 @@ type Kernel struct {
 	Start, End int
 }
 
-// TileTable is a program's symbol table: Keys[id] is the TileKey interned
-// as TileID id. The engine only needs its length (to size the residency
+// TileTable is a program's symbol table: Keys[id] is the TileKey that
+// TileID id names. The engine only needs its length (to size the residency
 // arrays); the keys themselves serve tracing and debugging.
 type TileTable struct {
 	Keys []TileKey
@@ -100,18 +101,6 @@ const freeSlot = int32(-1)
 func NewCompiler() *Compiler {
 	c := &Compiler{}
 	c.rehash(2048)
-	return c
-}
-
-// newCompilerFor returns a compiler sized for n distinct tiles, so
-// interning them never grows the key storage or rehashes the table.
-func newCompilerFor(n int) *Compiler {
-	size := 2048
-	for 4*n > 3*size {
-		size *= 2
-	}
-	c := &Compiler{keys: make([]TileKey, 0, n)}
-	c.rehash(size)
 	return c
 }
 

@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"igosim/internal/tensor"
@@ -122,7 +124,24 @@ func TestGatherMatchesCompile(t *testing.T) {
 	dx := BaselineDXWalk(DXOrderKM)
 	dw := PartialStationaryDWColsWalk(2)
 	got := GatherProgram(Gather{Name: "dx", B: b, W: dx}, Gather{Name: "dw", B: b, W: dw})
-	want := Compile(p.Schedule("dx", dx), p.Schedule("dw", dw))
+	checkSameUpToRenaming(t, got, Compile(p.Schedule("dx", dx), p.Schedule("dw", dw)))
+}
+
+// TestForwardGatherMatchesCompile checks the forward basis the same way,
+// and that its table holds exactly the forward pass's X, W and Y tiles.
+func TestForwardGatherMatchesCompile(t *testing.T) {
+	p := testParams(tensor.Dims{M: 33, K: 22, N: 11}, Tiling{Tm: 7, Tk: 6, Tn: 4})
+	p.XFactor = 0.3
+	got := GatherProgram(Gather{Name: "forward", B: NewForwardBasis(p), W: ForwardWalk()})
+	want := Compile(Forward(p))
+	checkSameUpToRenaming(t, got, want)
+	if got.Table.Len() != want.Table.Len() {
+		t.Fatalf("forward basis table holds %d tiles, the compiled forward pass %d", got.Table.Len(), want.Table.Len())
+	}
+}
+
+func checkSameUpToRenaming(t *testing.T, got *Program, want Program) {
+	t.Helper()
 	if !reflect.DeepEqual(got.Kernels, want.Kernels) {
 		t.Fatalf("kernels %v, want %v", got.Kernels, want.Kernels)
 	}
@@ -141,6 +160,48 @@ func TestGatherMatchesCompile(t *testing.T) {
 			t.Fatalf("op %d: gathered %+v, compiled %+v", i, got.Code[i], w)
 		}
 	}
+}
+
+// TestBasisRejectsWrongKind checks that a backward basis computes no
+// forward op and a forward basis no gradient op.
+func TestBasisRejectsWrongKind(t *testing.T) {
+	p := testParams(tensor.Dims{M: 8, K: 8, N: 8}, Tiling{Tm: 4, Tk: 4, Tn: 4})
+	for _, c := range []struct {
+		b *Basis
+		w Walk
+	}{
+		{NewBasis(p), ForwardWalk()},
+		{NewForwardBasis(p), BaselineDXWalk(DXOrderMK)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("gathering %v ops from the wrong basis did not panic", c.w.a.kinds[0])
+				}
+			}()
+			GatherProgram(Gather{B: c.b, W: c.w})
+		}()
+	}
+}
+
+// TestNewBasesRejectsGap checks that shapes leaving a hole in a tensor's
+// tile bounding box are refused, naming the tensor: the hole's ids would
+// be table entries no op reaches.
+func TestNewBasesRejectsGap(t *testing.T) {
+	p := testParams(tensor.Dims{M: 8, K: 8, N: 8}, Tiling{Tm: 4, Tk: 4, Tn: 4})
+	far := p
+	far.OffM = 3 // rows 0-1 and 3-4: row 2 of X, dY and dX is missing
+	want := fmt.Sprintf("tensor %d (X)", p.XTile(0, 0).Key.Tensor)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("bases with a gap did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name %s", msg, want)
+		}
+	}()
+	NewBases(p, far)
 }
 
 // TestGatherRejectsForeignBases checks that kernels from two symbol spaces

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"igosim/internal/config"
 	"igosim/internal/runner"
@@ -176,7 +178,11 @@ func TestMethodNotAllowed(t *testing.T) {
 
 // TestClientDisconnectMidRequest proves a client hanging up mid-simulation
 // neither kills the server nor wastes the work: the detached computation
-// finishes and populates the cache, so the retry hits.
+// finishes and populates the cache, so the retry hits. The test holds
+// every admission slot, so the leader's computation stays in flight until
+// the client has hung up; each step then waits on an event, never a
+// timer: the leader's call appearing in the in-flight table, the client's
+// request ending, and the call's done channel.
 func TestClientDisconnectMidRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates one model point")
@@ -184,27 +190,45 @@ func TestClientDisconnectMidRequest(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	req := Request{Workload: "dlrm", Suite: "edge", NPU: "small", Batch: 2}
 
+	held := s.limiter.Cap()
+	for i := 0; i < held; i++ {
+		if err := s.limiter.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		for ; held > 0; held-- {
+			s.limiter.Release()
+		}
+	}()
+
 	payload, _ := json.Marshal(req)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hreq, _ := http.NewRequestWithContext(ctx, http.MethodPost,
 		ts.URL+"/simulate", bytes.NewReader(payload))
 	hreq.Header.Set("Content-Type", "application/json")
-	if resp, err := ts.Client().Do(hreq); err == nil {
-		// The server may still have answered 504 before the client bailed.
-		resp.Body.Close()
-	}
-
-	// The detached leader finishes regardless; poll until the result lands.
-	// The ceiling is generous because this package shares the host with the
-	// loadtest package under -race in CI — the pass case lands in well under
-	// a second, so the slack never slows a healthy run.
-	deadline := time.Now().Add(120 * time.Second)
-	for s.cache.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("disconnected request never populated the cache")
+	ended := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(hreq)
+		if err == nil {
+			resp.Body.Close()
+			err = fmt.Errorf("answered %d", resp.StatusCode)
 		}
-		time.Sleep(10 * time.Millisecond)
+		ended <- err
+	}()
+
+	cl := awaitInflight(t, s.cache, ended)
+	cancel()
+	if err := <-ended; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client request ended with %v, want context.Canceled", err)
+	}
+	for ; held > 0; held-- {
+		s.limiter.Release()
+	}
+	<-cl.done
+	if cl.err != nil {
+		t.Fatalf("detached computation failed: %v", cl.err)
 	}
 
 	status, body, cacheStatus := post(t, ts.Client(), ts.URL+"/simulate", req)
@@ -223,6 +247,30 @@ func TestClientDisconnectMidRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz after disconnect: %d", resp.StatusCode)
+	}
+}
+
+// awaitInflight returns the one call registered in c's in-flight table,
+// yielding the processor until it appears; it fails the test if the
+// request ends first.
+func awaitInflight(t *testing.T, c *resultCache, ended <-chan error) *call {
+	t.Helper()
+	for {
+		c.mu.Lock()
+		var found *call
+		for _, cl := range c.inflight {
+			found = cl
+		}
+		c.mu.Unlock()
+		if found != nil {
+			return found
+		}
+		select {
+		case err := <-ended:
+			t.Fatalf("request ended before its computation was in flight: %v", err)
+		default:
+			runtime.Gosched()
+		}
 	}
 }
 

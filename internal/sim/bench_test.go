@@ -21,3 +21,11 @@ func BenchmarkCompiledEngine(b *testing.B) {
 	b.Run("compiled", w.Pass())
 	b.Run("steady", w.Steady())
 }
+
+// BenchmarkBasisGather measures the compiled-op basis stage of the
+// multi-core path: per ResNet-50 layer, every scheme's plan at 2, 4 and 8
+// cores lowered to bases, and each core's dX and dW kernels gathered
+// (cmd/benchjson's BasisGather row).
+func BenchmarkBasisGather(b *testing.B) {
+	bench.ResNet50Backward().Gather()(b)
+}

@@ -56,7 +56,8 @@ func RunMulti(cfg config.NPU, opts Options, streams [][]schedule.Op) MultiResult
 // array and its per-core slice of DRAM bandwidth. One compiler interns
 // tiles across every phase and stream, so a tile shared between cores
 // carries one ID everywhere and the shared-residency state lives in flat
-// arrays.
+// arrays; the interned streams then run exactly as RunMultiProgram runs
+// gathered ones.
 //
 // Phases model synchronized kernel boundaries (for example the dX kernels
 // of all cores followed by the dW kernels under conventional data
@@ -76,7 +77,6 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 	if len(phases) == 0 {
 		panic("sim: no phases")
 	}
-	cores := 0
 	for _, streams := range phases {
 		if len(streams) == 0 {
 			panic("sim: no op streams")
@@ -84,7 +84,6 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 		if len(streams) > cfg.Cores {
 			panic("sim: more op streams than cores")
 		}
-		cores = max(cores, len(streams))
 	}
 	c := schedule.NewCompiler()
 	code := make([][][]schedule.CompiledOp, len(phases))
@@ -94,8 +93,50 @@ func RunMultiPhased(cfg config.NPU, opts Options, phases [][][]schedule.Op, shar
 			code[pi][si] = c.CompileOps(ops)
 		}
 	}
-	n := c.NumTiles()
-	keys := c.Table().Keys
+	return runMulti(cfg, opts, code, c.Table().Keys, shared)
+}
+
+// RunMultiProgram is RunMultiPhased over compiled programs, one per core:
+// kernel k of every core's program runs in phase k. The programs must
+// share one symbol space (gathered from the bases of one
+// schedule.NewBases call) and one kernel count; an empty kernel is an
+// idle core.
+func RunMultiProgram(cfg config.NPU, opts Options, cores []*schedule.Program, shared bool) MultiResult {
+	if len(cores) == 0 {
+		panic("sim: no core programs")
+	}
+	if len(cores) > cfg.Cores {
+		panic("sim: more core programs than cores")
+	}
+	phases := make([][][]schedule.CompiledOp, len(cores[0].Kernels))
+	if len(phases) == 0 {
+		panic("sim: no phases")
+	}
+	for pi := range phases {
+		phases[pi] = make([][]schedule.CompiledOp, len(cores))
+	}
+	for ci, prog := range cores {
+		if !schedule.SameTable(prog.Table, cores[0].Table) {
+			panic("sim: core programs span different symbol spaces")
+		}
+		if len(prog.Kernels) != len(phases) {
+			panic("sim: core programs differ in kernel count")
+		}
+		for pi, k := range prog.Kernels {
+			phases[pi][ci] = prog.Code[k.Start:k.End]
+		}
+	}
+	return runMulti(cfg, opts, phases, cores[0].Table.Keys, shared)
+}
+
+// runMulti is the multi-core engine: phases of per-core compiled streams
+// over one symbol table.
+func runMulti(cfg config.NPU, opts Options, code [][][]schedule.CompiledOp, keys []schedule.TileKey, shared bool) MultiResult {
+	cores := 0
+	for _, streams := range code {
+		cores = max(cores, len(streams))
+	}
+	n := len(keys)
 
 	arr := systolic.New(cfg)
 	chn := dram.Channel{

@@ -105,3 +105,30 @@ func TestMultiDeterminism(t *testing.T) {
 		t.Fatal("multi-core simulation is not deterministic")
 	}
 }
+
+// TestRunMultiProgramRejectsMixedPrograms checks that per-core programs
+// from different symbol spaces, or with different kernel counts, are
+// refused.
+func TestRunMultiProgramRejectsMixedPrograms(t *testing.T) {
+	cfg := testCfg().WithCores(2)
+	p := params(tensor.Dims{M: 8, K: 8, N: 8}, schedule.Tiling{Tm: 4, Tk: 4, Tn: 4})
+	dx := schedule.BaselineDXWalk(schedule.DXOrderMK)
+	b := schedule.NewBasis(p)
+	one := schedule.GatherProgram(schedule.Gather{B: b, W: dx})
+	for _, c := range []struct {
+		mixing string
+		progs  []*schedule.Program
+	}{
+		{"symbol spaces", []*schedule.Program{one, schedule.GatherProgram(schedule.Gather{B: schedule.NewBasis(p), W: dx})}},
+		{"kernel counts", []*schedule.Program{one, schedule.GatherProgram(schedule.Gather{B: b, W: dx}, schedule.Gather{B: b, W: dx})}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("programs mixing %s did not panic", c.mixing)
+				}
+			}()
+			RunMultiProgram(cfg, Options{}, c.progs, true)
+		}()
+	}
+}
