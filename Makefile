@@ -47,9 +47,11 @@ trace-check:
 # land stricter than the tree without breaking the build; the analyzers'
 # own unit tests still run under plain `go test ./...`. The run is held to
 # a wall-time budget (exit 3 past it) and records its timing in the run
-# manifest's wall domain.
+# manifest's wall domain. It first fails, listing them, if any Go file is
+# not gofmt-formatted.
 LINT_BUDGET ?= 60s
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/igolint -budget $(LINT_BUDGET) -manifest results/lint_manifest.json ./...
 
 # Findings as a SARIF 2.1.0 artifact for code-scanning UIs.
@@ -99,7 +101,7 @@ replay-check:
 perf-check:
 	sh scripts/perf_check.sh
 
-# Heap gate (ROADMAP item 1): a cold fig12 must retain less than 600 MB of
+# Heap gate (ROADMAP item 1): a cold fig12 must retain less than 220 MB of
 # live heap after a full GC, read from runtime/metrics. The env-gated test
 # skips under plain `go test ./...`.
 mem-check:

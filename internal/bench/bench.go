@@ -75,15 +75,13 @@ func (w Workload) Pass() func(*testing.B) {
 	return func(b *testing.B) {
 		opts := sim.Options{}
 		b.SetBytes(w.Bytes) // simulated DRAM bytes per full backward pass
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		quiet(b, func() {
 			for _, kernels := range w.Model {
 				if r := sim.RunSchedules(w.Cfg, opts, kernels...); r.Ops == 0 {
 					b.Fatal("empty result")
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -97,9 +95,7 @@ func (w Workload) Steady() func(*testing.B) {
 		}
 		e := sim.NewCompiledEngine(w.Cfg, sim.Options{})
 		b.SetBytes(w.Bytes)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		quiet(b, func() {
 			for pi := range progs {
 				e.Reset()
 				e.RunProgram(&progs[pi])
@@ -107,7 +103,7 @@ func (w Workload) Steady() func(*testing.B) {
 					b.Fatal("empty result")
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -119,13 +115,6 @@ var gatherCores = []int{2, 4, 8}
 // each of gatherCores lowered to bases, and each part's conventional dX
 // and dW kernels gathered into its core's program. Plans are built
 // outside the loop.
-//
-// perf-check gates this row's allocs/op, and a GC cycle allocates
-// runtime-internal objects that the count includes, so iterations run
-// with the collector off, each after a forced collection outside the
-// timer: the heap never holds more than one iteration's programs, and
-// what the runtime still allocates around a collection (a handful of
-// objects) stays far inside the gate's 0.1% of the ~19k allocs/op.
 func (w Workload) Gather() func(*testing.B) {
 	return func(b *testing.B) {
 		var plans []core.Plan
@@ -137,13 +126,7 @@ func (w Workload) Gather() func(*testing.B) {
 			}
 		}
 		dx, dw := schedule.BaselineDXWalk(schedule.DXOrderMK), schedule.BaselineDWWalk(schedule.DWOrderKN)
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			runtime.GC()
-			b.StartTimer()
+		quiet(b, func() {
 			for _, plan := range plans {
 				for _, basis := range schedule.NewBases(plan.Parts...) {
 					prog := schedule.GatherProgram(schedule.Gather{Name: "dx", B: basis, W: dx}, schedule.Gather{Name: "dw", B: basis, W: dw})
@@ -152,6 +135,27 @@ func (w Workload) Gather() func(*testing.B) {
 					}
 				}
 			}
-		}
+		})
+	}
+}
+
+// quiet runs body once per iteration, reporting allocations, with the
+// garbage collector off and a forced collection before each iteration
+// outside the timer. perf-check gates every row's allocs/op at 0.1%, and
+// a GC cycle during the timed region both allocates runtime-internal
+// objects the count includes and empties the pools the engine reuses, so
+// with the collector on the count depends on when collections happen. A
+// forced collection leaves each pool's values in its victim cache, so
+// every iteration starts from the same pool state, and the heap never
+// holds more than one iteration's garbage.
+func quiet(b *testing.B, body func()) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		body()
 	}
 }

@@ -39,8 +39,9 @@ type ordersVal struct {
 	dx schedule.DXLoopOrder
 	dw schedule.DWLoopOrder
 	// block is the fusion granularity (ops per stream per turn); only the
-	// interleave cache uses it.
-	block int
+	// interleave cache uses it. Its width leaves the struct unpadded, so a
+	// program descriptor holding it hashes as plain memory (progDesc).
+	block uint16
 }
 
 func keyFor(cfg config.NPU, p schedule.TileParams) ordersKey {
@@ -107,6 +108,18 @@ func TunedBaselineKernels(cfg config.NPU, p schedule.TileParams) (dxK, dwK sched
 	return ks[0].emit(p), ks[1].emit(p)
 }
 
+// RunFusedSequential simulates the tuned baseline's two gradient GEMMs as
+// one kernel, dX then dW with no scratchpad flush between them: the "single
+// kernel that sequentially calculates dX and dW without interleaving"
+// baseline variant of the Figure 17 GPU study. A merge whose block is as
+// long as each stream is exactly that concatenation, so the kernel streams
+// from one basis.
+func RunFusedSequential(cfg config.NPU, p schedule.TileParams) sim.Result {
+	v := baselineChoices(cfg, p)
+	w := schedule.Merge(schedule.BaselineDXWalk(v.dx), schedule.BaselineDWWalk(v.dw), p.OpCount())
+	return sim.RunKernels(cfg, sim.Options{}, schedule.Gather{Name: "fused-sequential", B: schedule.NewBasis(p), W: w})
+}
+
 // TunedDWOnly emits the schedule-tuned dW-only pass used for the network's
 // first layer (no dX needed).
 func TunedDWOnly(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
@@ -167,7 +180,7 @@ var mergeTables = func() [][]ordersVal {
 		for _, dc := range dxOrders {
 			for _, wc := range dwOrders {
 				for _, blk := range interleaveBlocks[:n] {
-					ts[n] = append(ts[n], ordersVal{dx: dc, dw: wc, block: blk})
+					ts[n] = append(ts[n], ordersVal{dx: dc, dw: wc, block: uint16(blk)})
 				}
 			}
 		}
@@ -178,7 +191,7 @@ var mergeTables = func() [][]ordersVal {
 // mergeWalk fuses the two gradient streams in v's loop orders, v.block ops
 // per stream per turn.
 func mergeWalk(v ordersVal) schedule.Walk {
-	return schedule.Merge(schedule.BaselineDXWalk(v.dx), schedule.BaselineDWWalk(v.dw), v.block)
+	return schedule.Merge(schedule.BaselineDXWalk(v.dx), schedule.BaselineDWWalk(v.dw), int(v.block))
 }
 
 // interleaveChoices picks the per-stream access orders and the fusion
@@ -216,45 +229,59 @@ func interleaveWalk(v ordersVal) kernelWalk { return kernelWalk{"interleave", me
 // carried output's partials and the operand bands use the rest.
 const fusedChunkShare = 0.25
 
-// fusedChunk sizes a chunked major order: how many perUnit-byte bands of
-// the completing output fit its share of the streaming half.
-func fusedChunk(cfg config.NPU, perUnit int64) int {
-	share := int64(float64(cfg.SPMBytes/2) * fusedChunkShare)
+// fusedChunk sizes a chunked major order for an SPM of spm bytes: how
+// many perUnit-byte bands of the completing output fit its share of the
+// streaming half.
+func fusedChunk(spm, perUnit int64) int {
+	share := int64(float64(spm/2) * fusedChunkShare)
 	return int(share / max(perUnit, 1))
 }
 
-// dxMajorWalk is the chunked dXmajor order sized for cfg.
-func dxMajorWalk(cfg config.NPU, p schedule.TileParams) kernelWalk {
-	perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * int64(cfg.ElemBytes)
-	return kernelWalk{"interleave+dXmajor", DXMajorWalk(fusedChunk(cfg, perRow))}
+// dxMajorWalk is the chunked dXmajor order sized for an SPM of spm bytes
+// and elem-byte elements.
+func dxMajorWalk(spm int64, elem int, p schedule.TileParams) kernelWalk {
+	perRow := int64(p.Tiling.Tm) * int64(p.Dims.K) * int64(elem)
+	return kernelWalk{"interleave+dXmajor", DXMajorWalk(fusedChunk(spm, perRow))}
 }
 
-// dwMajorWalk is the chunked dWmajor order sized for cfg.
-func dwMajorWalk(cfg config.NPU, p schedule.TileParams) kernelWalk {
-	perCol := int64(p.Dims.K) * int64(p.Tiling.Tn) * int64(cfg.ElemBytes)
-	return kernelWalk{"interleave+dWmajor", DWMajorWalk(fusedChunk(cfg, perCol))}
+// dwMajorWalk is the chunked dWmajor order sized for an SPM of spm bytes
+// and elem-byte elements.
+func dwMajorWalk(spm int64, elem int, p schedule.TileParams) kernelWalk {
+	perCol := int64(p.Dims.K) * int64(p.Tiling.Tn) * int64(elem)
+	return kernelWalk{"interleave+dWmajor", DWMajorWalk(fusedChunk(spm, perCol))}
 }
 
 // FusedDXMajor emits the chunked dXmajor schedule sized for cfg.
 func FusedDXMajor(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	return dxMajorWalk(cfg, p).emit(p)
+	return dxMajorWalk(cfg.SPMBytes, cfg.ElemBytes, p).emit(p)
 }
 
 // FusedDWMajor emits the chunked dWmajor schedule sized for cfg.
 func FusedDWMajor(cfg config.NPU, p schedule.TileParams) schedule.Schedule {
-	return dwMajorWalk(cfg, p).emit(p)
+	return dwMajorWalk(cfg.SPMBytes, cfg.ElemBytes, p).emit(p)
 }
 
-// rearrangedWalk is the rearranged kernel for an explicit order: a chunked
-// major order, or the tuned fusion for OnlyInterleave.
-func rearrangedWalk(cfg config.NPU, p schedule.TileParams, o Order) (kernelWalk, Order) {
+// rearrangedChoices resolves the rearranged kernel's choices for order o:
+// a chunked major order as is, any other order as OnlyInterleave with the
+// tuned fusion.
+func rearrangedChoices(cfg config.NPU, p schedule.TileParams, o Order) (Order, ordersVal) {
+	if o == DXMajor || o == DWMajor {
+		return o, ordersVal{}
+	}
+	return OnlyInterleave, interleaveChoices(cfg, p)
+}
+
+// rearrangedKernel is the rearranged kernel over p for resolved choices:
+// order o (DXMajor, DWMajor or OnlyInterleave) with fusion v, sized for an
+// SPM of spm bytes and elem-byte elements.
+func rearrangedKernel(spm int64, elem int, p schedule.TileParams, o Order, v ordersVal) kernelWalk {
 	switch o {
 	case DXMajor:
-		return dxMajorWalk(cfg, p), o
+		return dxMajorWalk(spm, elem, p)
 	case DWMajor:
-		return dwMajorWalk(cfg, p), o
+		return dwMajorWalk(spm, elem, p)
 	default:
-		return interleaveWalk(interleaveChoices(cfg, p)), OnlyInterleave
+		return interleaveWalk(v)
 	}
 }
 
@@ -280,7 +307,7 @@ func TunerCandidates(cfg config.NPU, p schedule.TileParams) []Candidate {
 	for _, v := range mergeCandidates(p) {
 		cs = append(cs, Candidate{fmt.Sprintf("interleave/%d-%d-%d", v.dx, v.dw, v.block), mergeWalk(v)})
 	}
-	for _, k := range []kernelWalk{dxMajorWalk(cfg, p), dwMajorWalk(cfg, p)} {
+	for _, k := range []kernelWalk{dxMajorWalk(cfg.SPMBytes, cfg.ElemBytes, p), dwMajorWalk(cfg.SPMBytes, cfg.ElemBytes, p)} {
 		cs = append(cs, Candidate{k.name, k.w})
 	}
 	return cs
@@ -308,9 +335,9 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 		merge := panelFor(mergePanels, single, np, len(vs), func(i int) schedule.Walk { return mergeWalk(vs[i]) })
 		major := panelFor(majorPanels, single, np, 2, func(i int) schedule.Walk {
 			if i == 0 {
-				return dxMajorWalk(single, np).w
+				return dxMajorWalk(single.SPMBytes, single.ElemBytes, np).w
 			}
-			return dwMajorWalk(single, np).w
+			return dwMajorWalk(single.SPMBytes, single.ElemBytes, np).w
 		})
 		iv := slices.Index(vs, v)
 		orders := Orders()
@@ -327,11 +354,10 @@ func BestOrderSimulated(cfg config.NPU, p schedule.TileParams) Order {
 type tuner struct {
 	single config.NPU
 	np     schedule.TileParams
-	// basis and prog serve candidates without a panel trace: one
-	// transient basis per tuner call, built on the first gather, each
-	// candidate gathered into the same buffer and run once.
+	// basis serves candidates without a panel trace: one transient basis
+	// per tuner call, built on first use, each candidate streamed from it
+	// through the engine once.
 	basis *schedule.Basis
-	prog  *schedule.Program
 }
 
 // fastest returns the index of the fastest of candidates 0..n-1 (the first
@@ -348,8 +374,8 @@ func fastest(n int, cycles func(i int) int64) int {
 
 // cycles returns candidate i of f's makespan: the cycles its panel build
 // just resolved, a replay of its panel trace, or — with no panel or no
-// trace — a run of the candidate gathered from the transient basis on the
-// one-shot engine. All three are bit-identical (the resolved-replay and
+// trace — a run of the candidate streamed from the transient basis through
+// the one-shot engine. All three are bit-identical (the resolved-replay and
 // basis-gather property suites hold this), so which one runs never
 // changes a tuner's choice.
 func (t *tuner) cycles(f family, i int) int64 {
@@ -360,8 +386,7 @@ func (t *tuner) cycles(f family, i int) int64 {
 		return sim.ReplayRetained(t.single, f.pn.traces[i]).Cycles
 	}
 	if t.basis == nil {
-		t.basis, t.prog = schedule.NewBasis(t.np), &schedule.Program{}
+		t.basis = schedule.NewBasis(t.np)
 	}
-	schedule.GatherInto(t.prog, schedule.Gather{B: t.basis, W: f.walk(i)})
-	return sim.RunProgramOnce(t.single, sim.Options{}, t.prog).Cycles
+	return sim.RunKernels(t.single, sim.Options{}, schedule.Gather{B: t.basis, W: f.walk(i)}).Cycles
 }

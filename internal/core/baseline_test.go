@@ -79,7 +79,7 @@ func TestTunedInterleaveAlternatesKinds(t *testing.T) {
 func TestMergeStreamsBlocks(t *testing.T) {
 	kinds := func(block, n int) []schedule.Kind {
 		var ks []schedule.Kind
-		mergeWalk(ordersVal{block: block}).Each(schedule.Grid{M: n, K: 1, N: 1}, func(s schedule.Step) bool {
+		mergeWalk(ordersVal{block: uint16(block)}).Each(schedule.Grid{M: n, K: 1, N: 1}, func(s schedule.Step) bool {
 			ks = append(ks, s.Kind)
 			return true
 		})

@@ -108,11 +108,9 @@ func ResetCaches() {
 	ordersCache.Reset()
 	ilvCache.Reset()
 	reCache.Reset()
-	progCache.Reset()
 	basePanels.Reset()
 	mergePanels.Reset()
 	majorPanels.Reset()
-	partCache.Reset()
 	sim.ResetResolvedCache()
 	stats.ResetAllCacheCounters()
 }

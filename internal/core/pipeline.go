@@ -126,20 +126,10 @@ func BackwardKernels(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX b
 }
 
 // backwardWalks resolves BackwardKernels' tuned kernels as walks, shared by
-// the emitter above and the gathered programs of backwardProgram.
+// the emitter above and the multi-core programs.
 func backwardWalks(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) ([]kernelWalk, Order) {
-	if skipDX {
-		return []kernelWalk{dwOnlyWalk(baselineChoices(cfg, p))}, OnlyInterleave
-	}
-	switch pol {
-	case PolBaseline:
-		return baselineWalks(baselineChoices(cfg, p)), OnlyInterleave
-	case PolInterleave:
-		return []kernelWalk{interleaveWalk(interleaveChoices(cfg, p))}, OnlyInterleave
-	default: // PolRearrange and above
-		k, o := rearrangedWalk(cfg, p, BestOrderSimulated(cfg, p))
-		return []kernelWalk{k}, o
-	}
+	o, v := backwardChoices(cfg, p, pol, skipDX)
+	return layerKernels(cfg.SPMBytes, cfg.ElemBytes, p, pol, skipDX, o, v), o
 }
 
 // RearrangedTuned emits the rearranged (interleaved + reordered) schedule
@@ -156,8 +146,8 @@ func RearrangedStatic(cfg config.NPU, p schedule.TileParams) (schedule.Schedule,
 
 // RearrangedWithOrder emits the rearranged schedule for an explicit order.
 func RearrangedWithOrder(cfg config.NPU, p schedule.TileParams, o Order) (schedule.Schedule, Order) {
-	k, o := rearrangedWalk(cfg, p, o)
-	return k.emit(p), o
+	o, v := rearrangedChoices(cfg, p, o)
+	return rearrangedKernel(cfg.SPMBytes, cfg.ElemBytes, p, o, v).emit(p), o
 }
 
 // RunBackward simulates one layer's backward pass on a single core.
@@ -171,14 +161,13 @@ func RunBackward(cfg config.NPU, opts sim.Options, p schedule.TileParams, pol Po
 	if pol != PolPartition || skipDX {
 		var out LayerOutcome
 		var order Order
-		if useProgramCache(opts) {
-			// Untraced compiled runs replay a shared pre-lowered program:
-			// emission, tuning lookups and interning happen once per
-			// (shape, policy, tuned-candidate) point, then every layer and
-			// every hardware timing that maps to it just executes.
-			prog, o := backwardProgram(cfg, p, pol, skipDX)
-			out = outcomeFromResult(sim.RunProgram(cfg, opts, prog))
-			order = o
+		if opts.Trace == nil {
+			// Untraced runs share one descriptor per (shape, policy,
+			// tuned-candidate) point: every layer and every hardware
+			// timing that maps to it replays one resolved trace.
+			d := backwardDesc(cfg, p, pol, skipDX)
+			out = outcomeFromResult(sim.RunDesc(cfg, opts, d))
+			order = d.orders[0]
 		} else {
 			kernels, o := BackwardKernels(cfg, p, pol, skipDX)
 			out = outcomeFromResult(sim.RunSchedules(cfg, opts, kernels...))
@@ -217,33 +206,24 @@ func runPartitionedSingle(cfg config.NPU, opts sim.Options, p schedule.TileParam
 		return LayerOutcome{}, false
 	}
 	// Partitions are separate kernels on one core: the scratchpad is flushed
-	// between them, exactly as at any kernel boundary. Untraced runs replay
-	// a shared pre-lowered program (per-part orders resolved first,
-	// mirroring backwardProgram); traced runs and plans that cache does not
-	// retain gather a transient program from the plan's bases and run it
-	// once.
-	var out LayerOutcome
-	var orderList []Order
-	if useProgramCache(opts) {
-		if prog, orders, ok := partitionedProgram(cfg, p, scheme, parts, plan); ok {
-			out = outcomeFromResult(sim.RunProgram(cfg, opts, prog))
-			orderList = orders
-		}
+	// between them, exactly as at any kernel boundary. Untraced runs share
+	// one descriptor of the canonical parent across layers and timings;
+	// traced runs, whose labels need the layer's own tile keys, and
+	// huge-grid plans, whose traces would pin more memory than replays
+	// repay (the panel budget), stream this plan's kernels once.
+	d := partitionedDesc(cfg, p, scheme, plan)
+	var res sim.Result
+	if opts.Trace == nil && p.OpCount() <= panelOpBudget {
+		res = sim.RunDesc(cfg, opts, d)
+	} else {
+		res = sim.RunKernels(cfg, opts, d.planKernels(plan)...)
 	}
-	if orderList == nil {
-		orderList = make([]Order, len(plan.Parts))
-		for i, sub := range plan.Parts {
-			orderList[i] = BestOrderSimulated(cfg, sub)
-		}
-		out = outcomeFromResult(sim.RunProgramOnce(cfg, opts, gatherRearranged(cfg, plan, orderList)))
-	}
+	out := outcomeFromResult(res)
 	out.addReductions(plan.ReduceResults(cfg))
 	out.Dims = p.Dims
 	out.Scheme = scheme
 	out.Parts = len(plan.Parts)
-	for _, o := range orderList {
-		out.Order = o // representative order (identical across equal splits)
-	}
+	out.Order = d.orders[d.parts-1] // representative order (identical across equal splits)
 	return out, true
 }
 
@@ -270,8 +250,8 @@ func RunBackwardOrder(cfg config.NPU, opts sim.Options, p schedule.TileParams, o
 func RunForward(cfg config.NPU, opts sim.Options, p schedule.TileParams) LayerOutcome {
 	fopts := sim.Options{Trace: opts.Trace, TraceLabel: opts.TraceLabel}
 	var out LayerOutcome
-	if useProgramCache(fopts) {
-		out = outcomeFromResult(sim.RunProgram(cfg, fopts, forwardProgram(p)))
+	if fopts.Trace == nil {
+		out = outcomeFromResult(sim.RunDesc(cfg, fopts, forwardDesc(p)))
 	} else {
 		out = outcomeFromResult(sim.RunSchedules(cfg, fopts, schedule.Forward(p)))
 	}
@@ -353,7 +333,7 @@ func runMultiPlanPolicy(cfg config.NPU, opts sim.Options, plan Plan, pol Policy,
 		// Parts may choose different orders; like runPartitionedSingle, the
 		// last part's order represents the plan.
 		order = o
-		progs[i] = gatherKernels(bases[i], kernels)
+		progs[i] = schedule.GatherProgram(gathers(bases[i], kernels)...)
 	}
 	out := finishMulti(cfg, sim.RunMultiProgram(cfg, opts, progs, sharedSPM), plan)
 	out.Order = order
@@ -370,7 +350,7 @@ func runMultiPlan(cfg config.NPU, opts sim.Options, plan Plan, dwOnly bool) Laye
 	bases := schedule.NewBases(plan.Parts...)
 	progs := make([]*schedule.Program, len(plan.Parts))
 	for i, sub := range plan.Parts {
-		progs[i] = gatherKernels(bases[i], []kernelWalk{dwOnlyWalk(baselineChoices(cfg, sub))})
+		progs[i] = schedule.GatherProgram(gathers(bases[i], []kernelWalk{dwOnlyWalk(baselineChoices(cfg, sub))})...)
 	}
 	// dW-only layers run as conventional data parallelism: private buffers.
 	out := finishMulti(cfg, sim.RunMultiProgram(cfg, opts, progs, false), plan)
@@ -418,7 +398,7 @@ func runForwardMulti(cfg config.NPU, opts sim.Options, p schedule.TileParams) La
 	bases := schedule.NewForwardBases(plan.Parts...)
 	progs := make([]*schedule.Program, len(plan.Parts))
 	for i := range plan.Parts {
-		progs[i] = gatherKernels(bases[i], []kernelWalk{forwardWalk})
+		progs[i] = schedule.GatherProgram(gathers(bases[i], []kernelWalk{forwardWalk})...)
 	}
 	// The forward pass runs as conventional data parallelism: private
 	// per-core buffers.

@@ -5,6 +5,7 @@ import (
 
 	"igosim/internal/config"
 	"igosim/internal/dram"
+	"igosim/internal/refmodel"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
 	"igosim/internal/tensor"
@@ -201,11 +202,26 @@ func TestRunTrainingSelectorMatchesIdeal(t *testing.T) {
 	}
 }
 
-func TestConcatKernels(t *testing.T) {
-	a := schedule.Schedule{Ops: make([]schedule.Op, 3)}
-	b := schedule.Schedule{Ops: make([]schedule.Op, 2)}
-	if got := len(ConcatKernels(a, b).Ops); got != 5 {
-		t.Fatalf("concat ops = %d", got)
+// TestFusedSequentialMatchesConcat holds the Figure 17 fused-sequential
+// baseline, streamed as one merged kernel from one basis, to the engine
+// and the refmodel oracle over the tuned dX and dW schedules concatenated
+// into one kernel with no flush between them.
+func TestFusedSequentialMatchesConcat(t *testing.T) {
+	cfg := config.GPULike()
+	for _, d := range []tensor.Dims{{M: 96, K: 384, N: 160}, {M: 70, K: 33, N: 129}} {
+		p := LayerParams(d, 3, cfg)
+		dxK, dwK := TunedBaselineKernels(cfg, p)
+		concat := schedule.Schedule{Name: "fused-sequential", Ops: append(append([]schedule.Op{}, dxK.Ops...), dwK.Ops...)}
+		got := RunFusedSequential(cfg, p)
+		if want := sim.RunSchedules(cfg, sim.Options{}, concat); got != want {
+			t.Errorf("%v: streamed fused-sequential %+v, concatenated schedule %+v", d, got, want)
+		}
+		if err := refmodel.Compare(got, refmodel.ReplaySchedules(cfg, refmodel.Options{}, concat)); err != nil {
+			t.Errorf("%v: %v", d, err)
+		}
+		if got.Ops != int64(2*p.OpCount()) {
+			t.Errorf("%v: %d ops, want %d", d, got.Ops, 2*p.OpCount())
+		}
 	}
 }
 

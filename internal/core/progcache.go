@@ -1,129 +1,198 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"igosim/internal/config"
 	"igosim/internal/runner"
 	"igosim/internal/schedule"
 	"igosim/internal/sim"
+	"igosim/internal/tensor"
 )
 
-// Compiled-program cache (DESIGN.md §3k). The layer memo (memo.go) caches
+// Program descriptors (DESIGN.md §3k). The layer memo (memo.go) caches
 // *outcomes*, so it only helps when the full (hardware fingerprint, shape,
 // policy) point repeats. A serving workload's near-duplicate queries vary
 // exactly the timing half of the fingerprint — DRAM bandwidth, latency,
-// clock — while the emitted tile streams stay identical: op emission
-// depends on the configuration only through ElemBytes and SPMBytes (chunk
-// sizing) plus the *tuned candidate choices*, never on how fast the
-// simulated DRAM moves. Caching the compiled program under that narrower
-// key means a what-if bandwidth sweep builds each program once and replays
-// the same dense program under each timing. Programs are never emitted as
-// []Op: each is gathered from the shape's compiled op basis along the
-// tuned kernels' walks (schedule.Basis, DESIGN.md §3k), the same walks
-// BackwardKernels emits for traced single-core runs.
+// clock — while the tile streams stay identical: a final program depends
+// on the configuration only through ElemBytes and SPMBytes (chunk sizing)
+// plus the *tuned candidate choices*, never on how fast the simulated
+// DRAM moves. A progDesc is that narrower identity as a comparable value,
+// and sim.RunDesc keys the program's resolved trace on it, so a what-if
+// bandwidth sweep resolves each program once and replays it under each
+// timing. No program is retained: on a miss the descriptor's kernels are
+// streamed from transient compiled op bases (schedule.Basis) along the
+// tuned walks, the same walks BackwardKernels emits for traced runs.
 //
 // Soundness: the tuned candidates ARE bandwidth-dependent (the tuner
 // simulates to pick them), so they are resolved first — through their own
-// fingerprint-keyed caches — and included in the key. Two configurations
-// that tune to different candidates get different programs; two that tune
-// alike share one. Tile ids are normalized (Layer/Part zeroed) exactly as
-// in the layer memo: a bijective renaming of tile keys cannot change
-// residency behaviour, so the shared program's results are identical to a
-// per-layer compilation — but its trace labels would not be, which is why
-// the cache is bypassed for traced runs.
+// fingerprint-keyed caches — and included in the descriptor. Two
+// configurations that tune to different candidates get different
+// descriptors; two that tune alike share one. Tile ids are normalized
+// (Layer/Part zeroed) exactly as in the layer memo: a bijective renaming
+// of tile keys cannot change residency behaviour, so the shared trace's
+// results are identical to a per-layer run — but trace labels would not
+// be, which is why traced runs do not use shared descriptors.
 
-// progKey identifies one compiled kernel sequence up to tensor renaming
-// and hardware timing.
-type progKey struct {
-	p      schedule.TileParams // Layer/Part zeroed
-	spm    int64               // cfg.SPMBytes: sizes baseline/fused chunks
-	elem   int                 // cfg.ElemBytes: sizes every tile transfer
-	kind   memoKind
+// progDesc describes one final single-core program by content: a layer's
+// backward or forward pass, or a partitioned plan's backward pass with the
+// partitions as separate kernels. It holds every tuned choice, even where
+// the walks Kernels derives would not tell two apart (the dX order of a
+// dW-only pass). Its fields are unpadded integers, so the resolved-trace
+// cache hashes it as one block of memory, not field by field.
+type progDesc struct {
+	shape  descShape // the layer, or a plan's parent
+	spm    int64     // cfg.SPMBytes (0 forward): sizes the chunked majors
+	elem   int       // cfg.ElemBytes: sizes every tile transfer
+	ops    int
+	parts  int                     // > 0: the plan PartitionLayer(shape, scheme, parts)
+	tuned  [maxDescParts]ordersVal // tuned candidates (zero when none shape the stream), per part
+	orders [maxDescParts]Order     // access order, per part of a plan
+	fwd    bool
 	pol    Policy
-	order  Order
 	skipDX bool
-	tuned  ordersVal // zero when the stream uses no tuned candidates
+	scheme Scheme
 }
 
-var progCache = runner.NewCache[progKey, *schedule.Program]("core/compiled-prog")
+// maxDescParts bounds the partitions of a descriptor's plan: single-core
+// plans split into two or four.
+const maxDescParts = 4
 
-// useProgramCache reports whether a RunBackward/RunForward call can go
-// through the shared compiled-program cache: only untraced runs can (a
-// shared program carries normalized tile ids, which results are invariant
-// to but trace labels are not).
-func useProgramCache(opts sim.Options) bool {
-	return opts.Trace == nil
+// descShape is a whole layer's tile parameters up to tensor ids, as plain
+// integers (XFactor by its bits).
+type descShape struct {
+	dims    tensor.Dims
+	tiling  schedule.Tiling
+	elem    int
+	xfactor uint64
 }
 
-// backwardProgram returns the retained compiled program for one layer's
-// non-partitioned backward pass, sharing it across layers and hardware
-// timings that emit the same stream. The access order is resolved the same
-// way BackwardKernels resolves it, and the program is gathered from one
-// basis of the normalized shape.
-func backwardProgram(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) (*schedule.Program, Order) {
-	np := p
-	np.Layer, np.Part = 0, 0
-	key := progKey{
-		p: np, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
-		kind: memoBackward, pol: pol, skipDX: skipDX,
-		order: OnlyInterleave,
+// shapeOf returns p's descriptor shape, dropping its tensor ids. It
+// rejects a partition: partial outputs move as accumulator traffic.
+func shapeOf(p schedule.TileParams) descShape {
+	if p.OffM != 0 || p.OffK != 0 || p.OffN != 0 || p.DXPartial || p.DWPartial {
+		panic("core: a program descriptor's shape must be a whole layer")
 	}
+	return descShape{dims: p.Dims, tiling: p.Tiling, elem: p.ElemBytes, xfactor: math.Float64bits(p.XFactor)}
+}
+
+// params returns the canonical tile parameters of the shape.
+func (s descShape) params() schedule.TileParams {
+	return schedule.TileParams{Dims: s.dims, Tiling: s.tiling, ElemBytes: s.elem, XFactor: math.Float64frombits(s.xfactor)}
+}
+
+// Ops returns the program's op count.
+func (d progDesc) Ops() int { return d.ops }
+
+// Kernels builds the program's bases over the canonical shape — one
+// symbol space — and returns its kernels.
+func (d progDesc) Kernels() []schedule.Gather {
+	p := d.shape.params()
+	switch {
+	case d.fwd:
+		return gathers(schedule.NewForwardBasis(p), []kernelWalk{forwardWalk})
+	case d.parts > 0:
+		return d.planKernels(PartitionLayer(p, d.scheme, d.parts))
+	}
+	return gathers(schedule.NewBasis(p), layerKernels(d.spm, d.elem, p, d.pol, d.skipDX, d.orders[0], d.tuned[0]))
+}
+
+// planKernels returns the kernels of a partitioned descriptor over plan, a
+// partitioning of its shape up to tensor ids: part i rearranged per choice
+// i, the parts' bases built together.
+func (d *progDesc) planKernels(plan Plan) []schedule.Gather {
+	bases := schedule.NewBases(plan.Parts...)
+	gs := make([]schedule.Gather, len(bases))
+	for i, sub := range plan.Parts {
+		k := rearrangedKernel(d.spm, d.elem, sub, d.orders[i], d.tuned[i])
+		gs[i] = schedule.Gather{Name: k.name, B: bases[i], W: k.w}
+	}
+	return gs
+}
+
+// backwardChoices resolves the tuned choices of one layer's
+// non-partitioned backward pass: the access order (OnlyInterleave unless
+// rearranged) and the tuned candidates (zero when none shape the stream).
+func backwardChoices(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) (Order, ordersVal) {
 	switch {
 	case skipDX, pol == PolBaseline:
-		key.tuned = baselineChoices(cfg, np)
+		return OnlyInterleave, baselineChoices(cfg, p)
 	case pol == PolInterleave:
-		key.tuned = interleaveChoices(cfg, np)
+		return OnlyInterleave, interleaveChoices(cfg, p)
 	default: // PolRearrange and above
-		key.order = BestOrderSimulated(cfg, np)
-		if key.order == OnlyInterleave {
-			key.tuned = interleaveChoices(cfg, np)
-		}
+		return rearrangedChoices(cfg, p, BestOrderSimulated(cfg, p))
 	}
-	// Shared (canonical) result: the program pointer keys the sim layer's
-	// resolved-trace cache, so a miss race must converge on one pointer per
-	// logical program or the distinct-key census would vary with -j.
-	prog := progCache.GetOrComputeShared(key, func() *schedule.Program {
-		kernels, _ := backwardWalks(cfg, np, pol, skipDX)
-		return gatherKernels(schedule.NewBasis(np), kernels)
-	})
-	return prog, key.order
 }
 
-// gatherKernels gathers one program with a kernel per walk from basis b.
-func gatherKernels(b *schedule.Basis, kernels []kernelWalk) *schedule.Program {
+// layerKernels returns the kernels of a layer's backward pass under
+// resolved choices, sized for an SPM of spm bytes and elem-byte elements.
+func layerKernels(spm int64, elem int, p schedule.TileParams, pol Policy, skipDX bool, o Order, v ordersVal) []kernelWalk {
+	switch {
+	case skipDX:
+		return []kernelWalk{dwOnlyWalk(v)}
+	case pol == PolBaseline:
+		return baselineWalks(v)
+	case pol == PolInterleave:
+		return []kernelWalk{interleaveWalk(v)}
+	default: // PolRearrange and above
+		return []kernelWalk{rearrangedKernel(spm, elem, p, o, v)}
+	}
+}
+
+// backwardDesc describes one layer's non-partitioned backward program.
+// Every backward kernel set issues a dX and a dW op per grid point, a
+// dW-only pass just the dW op.
+func backwardDesc(cfg config.NPU, p schedule.TileParams, pol Policy, skipDX bool) progDesc {
+	d := progDesc{shape: shapeOf(p), spm: cfg.SPMBytes, elem: cfg.ElemBytes, ops: 2 * p.OpCount(), pol: pol, skipDX: skipDX}
+	if skipDX {
+		d.ops = p.OpCount()
+	}
+	d.orders[0], d.tuned[0] = backwardChoices(cfg, p, pol, skipDX)
+	return d
+}
+
+// forwardDesc describes one layer's forward program. The forward schedule
+// depends on the tile parameters alone, so the descriptor carries no
+// configuration fields beyond the element size already inside TileParams.
+func forwardDesc(p schedule.TileParams) progDesc {
+	return progDesc{shape: shapeOf(p), elem: p.ElemBytes, ops: p.OpCount(), fwd: true}
+}
+
+// partitionedDesc describes a single-core partitioned plan's program —
+// partition i rearranged in its simulated-best order as kernel i — where
+// plan is PartitionLayer(p, scheme, ·).
+func partitionedDesc(cfg config.NPU, p schedule.TileParams, scheme Scheme, plan Plan) progDesc {
+	if len(plan.Parts) > maxDescParts {
+		panic(fmt.Sprintf("core: a single-core plan holds at most %d partitions, not %d", maxDescParts, len(plan.Parts)))
+	}
+	d := progDesc{shape: shapeOf(p), spm: cfg.SPMBytes, elem: cfg.ElemBytes, scheme: scheme, parts: len(plan.Parts)}
+	for i, sub := range plan.Parts {
+		d.orders[i], d.tuned[i] = rearrangedChoices(cfg, sub, BestOrderSimulated(cfg, sub))
+		d.ops += 2 * sub.OpCount()
+	}
+	return d
+}
+
+// gathers names one kernel per walk over basis b.
+func gathers(b *schedule.Basis, kernels []kernelWalk) []schedule.Gather {
 	gs := make([]schedule.Gather, len(kernels))
 	for i, k := range kernels {
 		gs[i] = schedule.Gather{Name: k.name, B: b, W: k.w}
 	}
-	return schedule.GatherProgram(gs...)
+	return gs
 }
-
-// forwardProgram returns the retained compiled program for one layer's
-// forward pass. The forward schedule depends on the tile parameters alone,
-// so the key carries no configuration fields beyond the element size
-// already inside TileParams.
-func forwardProgram(p schedule.TileParams) *schedule.Program {
-	np := p
-	np.Layer, np.Part = 0, 0
-	key := progKey{p: np, elem: np.ElemBytes, kind: memoForward}
-	return progCache.GetOrComputeShared(key, func() *schedule.Program {
-		return gatherKernels(schedule.NewForwardBasis(np), []kernelWalk{forwardWalk})
-	})
-}
-
-// ProgramCacheLen returns the number of retained compiled programs (tests
-// and the serving layer's diagnostics read it).
-func ProgramCacheLen() int { return progCache.Len() }
 
 // Candidate-trace panels. The tuners (baselineChoices, interleaveChoices,
 // BestOrderSimulated) re-simulate their candidate schedules for every
 // hardware fingerprint, because the winner is timing-dependent — but the
 // candidate *streams* themselves depend on the configuration only through
-// SPMBytes (chunk sizing) and ElemBytes, exactly like the tuned programs
+// SPMBytes (chunk sizing) and ElemBytes, exactly like the final programs
 // above. That narrower key also fixes the residency capacity (SPMBytes/2),
 // and tuners never enable study options, so it fixes each candidate's
 // residency-resolved trace too (DESIGN.md §3l). A panel retains one
-// canonical shape's candidate family as those traces — 8 B/op, against
-// the 56 B/op of a compiled program — so a bandwidth sweep's re-tuning
+// canonical shape's candidate family as those traces — 8 B/op — so a
+// bandwidth sweep's re-tuning
 // does ONE cache lookup per family and then replays. (An earlier revision
 // keyed each candidate individually; hashing the wide per-candidate key
 // ~30k times per sweep cost as much as the replays it guarded.) Panels
@@ -157,9 +226,9 @@ var (
 // shapes are small; for the huge op grids of tiny-SPM configurations (the
 // GPU validation study's 128 KB buffer) retaining a dozen multi-megabyte
 // candidate traces per shape grows the heap far faster than the replays
-// repay. Oversized shapes gather-and-run-once instead: each tuner call
-// lowers one transient basis and prices every candidate on the one-shot
-// engine, reaching bit-identical tuning decisions (the candidate orders
+// repay. Oversized shapes stream-and-run-once instead: each tuner call
+// lowers one transient basis and streams every candidate from it through
+// the one-shot engine, reaching bit-identical tuning decisions (the candidate orders
 // match and the two paths are property-tested equal).
 const panelOpBudget = 1 << 13
 
@@ -174,10 +243,10 @@ type family struct {
 
 // panelFor returns np's view of one family, whose n candidates walk lists,
 // building the family's panel on first use: one transient basis, each
-// candidate gathered into one reused program buffer and resolved, and only
-// the traces kept. The building tuner call prices its candidates from the
-// resolved cycles rather than replaying what it just resolved. The panel
-// is nil (tuners then gather per call) when the shape's op grid exceeds
+// candidate streamed from it and resolved, and only the traces kept. The
+// building tuner call prices its candidates from the resolved cycles
+// rather than replaying what it just resolved. The panel is nil (tuners
+// then stream each candidate once per call) when the shape's op grid exceeds
 // the panel budget or two-phase execution is disabled
 // (sim.SetResidencyCacheCap(0): every candidate then runs on the engine).
 func panelFor(cache *runner.Cache[panelKey, *panel], single config.NPU, np schedule.TileParams, n int, walk func(i int) schedule.Walk) family {
@@ -191,12 +260,10 @@ func panelFor(cache *runner.Cache[panelKey, *panel], single config.NPU, np sched
 		return f
 	}
 	b := schedule.NewBasis(np)
-	prog := &schedule.Program{}
 	fresh := &panel{traces: make([]*sim.ResolvedTrace, n)}
 	f.built = make([]int64, n)
 	for i := range fresh.traces {
-		schedule.GatherInto(prog, schedule.Gather{B: b, W: walk(i)})
-		res, rt := sim.ResolveRetained(single, prog)
+		res, rt := sim.ResolveRetained(single, schedule.Gather{B: b, W: walk(i)})
 		fresh.traces[i], f.built[i] = rt, res.Cycles
 	}
 	// A miss race resolves the family twice but publishes it once; only the
@@ -221,70 +288,4 @@ func tuneParams(p schedule.TileParams) schedule.TileParams {
 	p.OffM, p.OffK, p.OffN = 0, 0, 0
 	p.DXPartial, p.DWPartial = false, false
 	return p
-}
-
-// partKey identifies one single-core partitioned plan's compiled program
-// up to tensor renaming and hardware timing: the parent shape, the plan
-// axes, and the per-part tuned choices (access order, and for interleave
-// orders the fused-stream candidates) that shape each part's stream.
-type partKey struct {
-	p      schedule.TileParams // Layer/Part zeroed (parent)
-	spm    int64
-	elem   int
-	scheme Scheme
-	parts  int
-	orders [4]Order
-	tuned  [4]ordersVal
-}
-
-var partCache = runner.NewCache[partKey, *schedule.Program]("core/partitioned-prog")
-
-// partitionedProgram returns the retained compiled program for one
-// single-core partitioned plan (partitions as separate kernels, scratchpad
-// flushed between them). The per-part tuned choices are resolved first and
-// folded into the key, mirroring backwardProgram; plans with more parts
-// than the key holds are not cached (ok=false).
-func partitionedProgram(cfg config.NPU, p schedule.TileParams, scheme Scheme, parts int, plan Plan) (*schedule.Program, []Order, bool) {
-	if len(plan.Parts) > len(partKey{}.orders) {
-		return nil, nil, false
-	}
-	// Same size discipline as the candidate panels: retaining a compiled
-	// program per huge-grid plan would pin more memory than replays repay.
-	if p.OpCount() > panelOpBudget {
-		return nil, nil, false
-	}
-	np := p
-	np.Layer, np.Part = 0, 0
-	key := partKey{
-		p: np, spm: cfg.SPMBytes, elem: cfg.ElemBytes,
-		scheme: scheme, parts: len(plan.Parts),
-	}
-	orders := make([]Order, len(plan.Parts))
-	for i, sub := range plan.Parts {
-		o := BestOrderSimulated(cfg, sub)
-		orders[i] = o
-		key.orders[i] = o
-		if o == OnlyInterleave {
-			key.tuned[i] = interleaveChoices(cfg, sub)
-		}
-	}
-	prog := partCache.GetOrComputeShared(key, func() *schedule.Program {
-		// Rebuild from the normalized parent so the retained program's tile
-		// ids are canonical regardless of which layer resolved it first.
-		return gatherRearranged(cfg, PartitionLayer(np, scheme, parts), orders)
-	})
-	return prog, orders, true
-}
-
-// gatherRearranged gathers a plan's parts as the kernels of one program,
-// part i rearranged in orders[i], from bases sharing one symbol space as
-// one compilation would.
-func gatherRearranged(cfg config.NPU, plan Plan, orders []Order) *schedule.Program {
-	bases := schedule.NewBases(plan.Parts...)
-	gs := make([]schedule.Gather, len(plan.Parts))
-	for i, sub := range plan.Parts {
-		k, _ := rearrangedWalk(cfg, sub, orders[i])
-		gs[i] = schedule.Gather{Name: k.name, B: bases[i], W: k.w}
-	}
-	return schedule.GatherProgram(gs...)
 }

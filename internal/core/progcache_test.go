@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"igosim/internal/config"
@@ -12,11 +14,11 @@ import (
 	"igosim/internal/trace"
 )
 
-// TestProgramCacheBitEquivalent proves the shared-program path changes no
-// results: for every policy, a backward pass through the compiled-program
-// cache must be bit-identical to a traced run, which never touches the
-// cache and simulates freshly emitted schedules instead, and the forward
-// pass likewise.
+// TestProgramCacheBitEquivalent proves the shared-descriptor path changes
+// no results: for every policy, a backward pass through the
+// descriptor-keyed resolved-trace cache must be bit-identical to a traced
+// run, which never touches the cache and simulates freshly emitted
+// schedules instead, and the forward pass likewise.
 func TestProgramCacheBitEquivalent(t *testing.T) {
 	ResetCaches()
 	cfg := config.SmallNPU()
@@ -30,7 +32,7 @@ func TestProgramCacheBitEquivalent(t *testing.T) {
 			ResetCaches()
 			want := RunBackward(cfg, emitted, p, pol, skipDX)
 			if got != want {
-				t.Errorf("policy %v skipDX=%v: program-cache path diverged:\n got %+v\nwant %+v",
+				t.Errorf("policy %v skipDX=%v: descriptor path diverged:\n got %+v\nwant %+v",
 					pol, skipDX, got, want)
 			}
 		}
@@ -41,51 +43,180 @@ func TestProgramCacheBitEquivalent(t *testing.T) {
 	ResetCaches()
 	wantF := RunForward(cfg, emitted, p)
 	if gotF != wantF {
-		t.Errorf("forward: program-cache path diverged:\n got %+v\nwant %+v", gotF, wantF)
+		t.Errorf("forward: descriptor path diverged:\n got %+v\nwant %+v", gotF, wantF)
 	}
 }
 
-// TestProgramCacheSharesAcrossTimings proves the point of the cache: two
+// TestProgramCacheSharesAcrossTimings proves the point of descriptors: two
 // configurations that differ only in DRAM bandwidth (a timing fact the
-// emitted tile streams cannot see) share one compiled program per layer
-// point, while the layer memo — keyed on the full hardware fingerprint —
-// must treat them as distinct.
+// tile streams cannot see) share one resolved trace per layer point, while
+// the layer memo — keyed on the full hardware fingerprint — must treat
+// them as distinct. The resolved-trace census counts the tuner panels'
+// traces too, which the slower configuration re-tunes from without
+// resolving anything new.
 func TestProgramCacheSharesAcrossTimings(t *testing.T) {
 	ResetCaches()
 	fast := config.SmallNPU()
 	slow := fast.WithBandwidth(fast.DRAMBandwidth / 2)
 	p := LayerParams(tensor.Dims{M: 128, K: 256, N: 128}, 3, fast)
+	census := func() int64 { return sim.ResolvedCacheStats().Entries }
 
 	opts := sim.Options{}
 	a := RunBackward(fast, opts, p, PolBaseline, false)
-	entries := ProgramCacheLen()
+	entries := census()
 	if entries == 0 {
-		t.Fatal("compiled-program cache stayed empty on an untraced run")
+		t.Fatal("resolved-trace cache stayed empty on an untraced run")
 	}
 	b := RunBackward(slow, opts, p, PolBaseline, false)
-	if ProgramCacheLen() != entries {
-		t.Errorf("bandwidth-only change grew the program cache %d -> %d; the program should be shared",
-			entries, ProgramCacheLen())
+	if census() != entries {
+		t.Errorf("bandwidth-only change grew the resolved-trace census %d -> %d; the trace should be shared",
+			entries, census())
 	}
 	if a.Cycles == b.Cycles {
-		t.Error("halving bandwidth left cycles unchanged; shared program must still be re-timed per config")
+		t.Error("halving bandwidth left cycles unchanged; shared trace must still be re-timed per config")
 	}
 	if a.Traffic != b.Traffic {
 		t.Errorf("traffic changed with bandwidth: %+v vs %+v", a.Traffic, b.Traffic)
 	}
 
-	// Different layer ids of the same shape share the program too.
+	// Different layer ids of the same shape share the trace too.
 	p9 := p
 	p9.Layer = 9
 	_ = RunBackward(fast, opts, p9, PolBaseline, false)
-	if ProgramCacheLen() != entries {
-		t.Errorf("layer-id change grew the program cache %d -> %d; ids are normalized out of the key",
-			entries, ProgramCacheLen())
+	if census() != entries {
+		t.Errorf("layer-id change grew the resolved-trace census %d -> %d; ids are normalized out of the descriptor",
+			entries, census())
 	}
 
 	ResetCaches()
-	if ProgramCacheLen() != 0 {
-		t.Errorf("ResetCaches left %d compiled programs cached", ProgramCacheLen())
+	if n := census(); n != 0 {
+		t.Errorf("ResetCaches left %d resolved traces in the census", n)
+	}
+}
+
+// TestDescriptorKeysCanonicalShape runs two layers of one shape that
+// differ only in their Layer and Part ids: once tuned, the pair adds
+// exactly one resolved trace per descriptor to the census, not one per
+// layer. The partitioned search resolves several descriptors for the
+// first layer and must resolve none for the second.
+func TestDescriptorKeysCanonicalShape(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	cfg := config.SmallNPU()
+	p := LayerParams(tensor.Dims{M: 96, K: 384, N: 160}, 3, cfg)
+	q := p
+	q.Layer, q.Part = 11, 1
+	census := func() int64 { return sim.ResolvedCacheStats().Entries }
+	backward := func(pol Policy, skipDX bool) func(schedule.TileParams) LayerOutcome {
+		return func(p schedule.TileParams) LayerOutcome { return RunBackward(cfg, sim.Options{}, p, pol, skipDX) }
+	}
+	forward := func(p schedule.TileParams) LayerOutcome { return RunForward(cfg, sim.Options{}, p) }
+	for _, pass := range []struct {
+		name string
+		tune func()
+		run  func(p schedule.TileParams) LayerOutcome
+		want int64 // traces the pair adds once tuned; 0: at least one
+	}{
+		{"baseline", func() { baselineChoices(cfg, p) }, backward(PolBaseline, false), 1},
+		{"rearranged", func() { BestOrderSimulated(cfg, p) }, backward(PolRearrange, false), 1},
+		{"dW-only", func() { baselineChoices(cfg, p) }, backward(PolInterleave, true), 1},
+		{"forward", func() {}, forward, 1},
+		{"partitioned", func() {}, backward(PolPartition, false), 0},
+	} {
+		ResetCaches()
+		pass.tune()
+		tuned := census()
+		a := pass.run(p)
+		first := census()
+		b := pass.run(q)
+		second := census()
+		if added := first - tuned; added < 1 || (pass.want > 0 && added != pass.want) {
+			t.Errorf("%s: the first layer added %d resolved traces, want %d", pass.name, added, max(pass.want, 1))
+		}
+		if second != first {
+			t.Errorf("%s: a renamed layer of the same shape added %d resolved traces, want 0", pass.name, second-first)
+		}
+		if a != b {
+			t.Errorf("%s: renamed layers differ:\n%+v\n%+v", pass.name, a, b)
+		}
+	}
+}
+
+// TestStreamedDescriptorsMatchGather holds every kind of descriptor to
+// the gathered program and to the refmodel oracle on every Result field,
+// free-dY both ways: the streamed resolution RunDesc runs on a miss, its
+// replay on a hit, and the one-shot stream must each equal RunProgram of
+// the program schedule.GatherProgram builds from the same kernels, and the
+// oracle over the schedules emitted along the same walks.
+func TestStreamedDescriptorsMatchGather(t *testing.T) {
+	ResetCaches()
+	defer ResetCaches()
+	cfg := config.SmallNPU()
+	p := LayerParams(tensor.Dims{M: 160, K: 800, N: 192}, 5, cfg)
+	type named struct {
+		name string
+		d    progDesc
+	}
+	var descs []named
+	for _, pol := range Policies() {
+		for _, skipDX := range []bool{false, true} {
+			if pol == PolPartition && !skipDX {
+				continue // partitioned plans have descriptors of their own
+			}
+			descs = append(descs, named{fmt.Sprintf("backward/%v/skipDX=%v", pol, skipDX), backwardDesc(cfg, p, pol, skipDX)})
+		}
+	}
+	for _, scheme := range Schemes() {
+		for _, parts := range []int{2, 4} {
+			plan := PartitionLayer(p, scheme, parts)
+			if len(plan.Parts) != parts {
+				t.Fatalf("%v/%d: plan has %d parts", scheme, parts, len(plan.Parts))
+			}
+			descs = append(descs, named{fmt.Sprintf("partitioned/%v/%d", scheme, parts), partitionedDesc(cfg, p, scheme, plan)})
+		}
+	}
+	descs = append(descs, named{"forward", forwardDesc(p)})
+
+	for _, nd := range descs {
+		d := nd.d
+		ks := d.Kernels()
+		if n := schedule.GatherProgram(ks...).Ops(); n != d.Ops() {
+			t.Errorf("%s: descriptor reports %d ops, its program has %d", nd.name, d.Ops(), n)
+		}
+		// The oracle replays the schedules emitted along the same walks.
+		shapes := []schedule.TileParams{d.shape.params()}
+		if d.parts > 0 {
+			shapes = PartitionLayer(shapes[0], d.scheme, d.parts).Parts
+		}
+		scheds := make([]schedule.Schedule, len(ks))
+		for i, k := range ks {
+			scheds[i] = shapes[min(i, len(shapes)-1)].Schedule(k.Name, k.W)
+		}
+		for _, free := range []bool{false, true} {
+			if d.fwd && free {
+				continue // the forward pass takes no study options
+			}
+			opts := sim.Options{FreeDYOnDW: free}
+			want := sim.RunProgram(cfg, opts, schedule.GatherProgram(ks...))
+			for _, leg := range []struct {
+				name string
+				got  sim.Result
+			}{
+				{"resolve", sim.RunDesc(cfg, opts, d)},
+				{"replay", sim.RunDesc(cfg, opts, d)},
+				{"stream", sim.RunKernels(cfg, opts, d.Kernels()...)},
+			} {
+				if leg.got != want {
+					t.Errorf("%s freeDY=%v %s: streamed %+v, gathered %+v", nd.name, free, leg.name, leg.got, want)
+				}
+			}
+			if err := refmodel.Compare(want, refmodel.ReplaySchedules(cfg, refmodel.Options{FreeDYOnDW: free}, scheds...)); err != nil {
+				t.Errorf("%s freeDY=%v: %v", nd.name, free, err)
+			}
+		}
+	}
+	if ph := sim.ResolvedPhaseStats(); ph.Replays == 0 {
+		t.Error("no descriptor run replayed a resolved trace")
 	}
 }
 
@@ -154,7 +285,7 @@ func TestTunerPanelMatchesOracle(t *testing.T) {
 	}{
 		{"baseline", basePanels, baselineCandidates},
 		{"merge", mergePanels, mergeWalks},
-		{"major", majorPanels, []schedule.Walk{dxMajorWalk(single, np).w, dwMajorWalk(single, np).w}},
+		{"major", majorPanels, []schedule.Walk{dxMajorWalk(single.SPMBytes, single.ElemBytes, np).w, dwMajorWalk(single.SPMBytes, single.ElemBytes, np).w}},
 	}
 	key := panelKey{p: np, spm: single.SPMBytes, elem: single.ElemBytes}
 	costs := []config.NPU{single, single.WithBandwidth(single.DRAMBandwidth / 2)}
@@ -178,7 +309,7 @@ func TestTunerPanelMatchesOracle(t *testing.T) {
 			}
 			prog := schedule.GatherProgram(schedule.Gather{B: b, W: w})
 			for _, c := range costs {
-				if got, want := rt.Replay(c), sim.RunProgramOnce(c, sim.Options{}, prog); got != want {
+				if got, want := rt.Replay(c), sim.RunProgram(c, sim.Options{}, prog); got != want {
 					t.Errorf("%s[%d] at %g B/s: panel replay diverged from the engine:\n got %+v\nwant %+v",
 						f.name, i, c.DRAMBandwidth, got, want)
 				}
@@ -250,9 +381,40 @@ func checkOraclePicks(t *testing.T, cfg config.NPU, p schedule.TileParams, base,
 	}
 	orders := Orders()
 	if want := orders[oracleBest(len(orders), func(i int) schedule.Walk {
-		k, _ := rearrangedWalk(single, np, orders[i])
-		return k.w
+		o, v := rearrangedChoices(single, np, orders[i])
+		return rearrangedKernel(single.SPMBytes, single.ElemBytes, np, o, v).w
 	})]; order != want {
 		t.Errorf("access order %v, oracle picks %v", order, want)
 	}
+}
+
+// TestProgDescIsPlainMemory guards the descriptor's layout: integers and
+// booleans only, with no padding anywhere, so the resolved-trace cache
+// hashes and compares it as one block of memory.
+func TestProgDescIsPlainMemory(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Struct:
+			var end uintptr
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if f.Offset != end {
+					t.Errorf("%s: %d bytes of padding before field %s", path, f.Offset-end, f.Name)
+				}
+				end = f.Offset + f.Type.Size()
+				check(path+"."+f.Name, f.Type)
+			}
+			if end != typ.Size() {
+				t.Errorf("%s: %d bytes of trailing padding", path, typ.Size()-end)
+			}
+		default:
+			t.Errorf("%s is a %v, not plain memory", path, typ.Kind())
+		}
+	}
+	check("progDesc", reflect.TypeOf(progDesc{}))
 }

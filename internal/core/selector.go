@@ -68,14 +68,3 @@ func runSelectorDWOnly(cfg config.NPU, opts sim.Options, p schedule.TileParams) 
 		return outcomeFromResult(sim.RunSchedules(cfg, opts, TunedDWOnly(cfg, p)))
 	})
 }
-
-// ConcatKernels joins kernels into one schedule (no flush between them) —
-// the "single kernel that sequentially calculates dX and dW without
-// interleaving" baseline variant of the Figure 17 GPU study.
-func ConcatKernels(kernels ...schedule.Schedule) schedule.Schedule {
-	var ops []schedule.Op
-	for _, k := range kernels {
-		ops = append(ops, k.Ops...)
-	}
-	return schedule.Schedule{Name: "fused-sequential", Ops: ops}
-}

@@ -10,11 +10,13 @@ import (
 )
 
 // memCheckLimit is the live heap a cold fig12 may retain once it returns:
-// the process-wide caches it fills (tuner panels, compiled programs,
-// resolved traces, layer outcomes). With the tuner panels holding
-// candidate traces it retains about 330 MB on a 2-CPU, 8 GB host; panels
-// holding compiled candidate programs retained about 1.1 GB there.
-const memCheckLimit = 600 << 20
+// the process-wide caches it fills (tuner panels, resolved traces, layer
+// outcomes) and the pooled engines. With final programs kept as
+// descriptors rather than retained compiled programs it retains 160–171 MB
+// on a 2-CPU, 8 GB host at 1 to 8 workers (327 MB with a compiled-program
+// cache, about 1.1 GB with panels of compiled candidate programs); the
+// limit leaves about 30% over the widest of those.
+const memCheckLimit = 220 << 20
 
 // TestFig12RetainedHeap is the heap gate behind `make mem-check`: a cold
 // fig12, a full GC, then the live heap read from runtime/metrics must stay

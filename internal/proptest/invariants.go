@@ -432,8 +432,9 @@ func passBelow(pass string, pb analytic.PassBounds, r sim.Result, traffic, mem i
 // sim.CompileSchedules of the schedule emitted from the same walk, up to a
 // TileID bijection — op by op in bytes, classes, flags, kind and tile
 // dims, with every gathered id naming the same tile key as its compiled
-// counterpart — and must run to the identical Result in both dY regimes.
-// The walks cover every tuner candidate family, the case's chunk size
+// counterpart — and must run to the identical Result in both dY regimes,
+// as must the same kernels streamed from the bases (sim.RunKernels). The
+// walks cover every tuner candidate family, the case's chunk size
 // (zero, one and past the grid are all legal), a fusion block past the
 // stream length, and the partitioned plan's sub-shapes — grid offsets and
 // partial-sum redirection — gathered from bases sharing one symbol space.
@@ -444,14 +445,18 @@ func CheckBasisGather(c Case) error {
 	cfg := c.Config()
 	p := c.Params()
 	check := func(label string, b []*schedule.Basis, ks []kernel) error {
-		got, want := gatherAndCompile(b, ks)
+		gs, got, want := gatherAndCompile(b, ks)
 		if err := sameUpToRenaming(got, want); err != nil {
 			return fmt.Errorf("%s: %w", label, err)
 		}
 		for _, free := range []bool{false, true} {
 			opts := sim.Options{FreeDYOnDW: free}
-			if g, w := sim.RunProgram(cfg, opts, got), sim.RunProgram(cfg, opts, want); g != w {
+			g, w := sim.RunProgram(cfg, opts, got), sim.RunProgram(cfg, opts, want)
+			if g != w {
 				return fmt.Errorf("%s freeDY=%v: gathered %+v != compiled %+v", label, free, g, w)
+			}
+			if s := sim.RunKernels(cfg, opts, gs...); s != g {
+				return fmt.Errorf("%s freeDY=%v: streamed %+v != gathered %+v", label, free, s, g)
 			}
 		}
 		return nil
@@ -502,7 +507,7 @@ func CheckBasisGather(c Case) error {
 		if err := check(t.label, t.b, t.ks); err != nil {
 			return err
 		}
-		got, want := gatherAndCompile(t.b, t.ks)
+		_, got, want := gatherAndCompile(t.b, t.ks)
 		if err := exactTable(got.Table, want.Table); err != nil {
 			return fmt.Errorf("%s: %w", t.label, err)
 		}
@@ -531,15 +536,15 @@ type kernel struct {
 }
 
 // gatherAndCompile builds ks twice: gathered from bases b, and emitted
-// and compiled.
-func gatherAndCompile(b []*schedule.Basis, ks []kernel) (got, want *schedule.Program) {
-	gs := make([]schedule.Gather, len(ks))
+// and compiled. It also returns the gathers, for streaming.
+func gatherAndCompile(b []*schedule.Basis, ks []kernel) (gs []schedule.Gather, got, want *schedule.Program) {
+	gs = make([]schedule.Gather, len(ks))
 	scheds := make([]schedule.Schedule, len(ks))
 	for i, k := range ks {
 		gs[i] = schedule.Gather{Name: k.name, B: b[i], W: k.w}
 		scheds[i] = k.p.Schedule(k.name, k.w)
 	}
-	return schedule.GatherProgram(gs...), sim.CompileSchedules(scheds...)
+	return gs, schedule.GatherProgram(gs...), sim.CompileSchedules(scheds...)
 }
 
 // exactTable checks that a gathered program's table holds each key once

@@ -79,7 +79,8 @@ func (b *Bounded[K, V]) Cap() int {
 // in the seen-census. A hit moves the entry to the front of the LRU list.
 func (b *Bounded[K, V]) Get(k K) (V, bool) {
 	b.mu.Lock()
-	b.seen[k] = struct{}{}
+	// A resident key is already in the census (Put records it), so only a
+	// miss pays the second map access.
 	e, ok := b.m[k]
 	if ok {
 		b.moveFrontLocked(e)
@@ -87,6 +88,7 @@ func (b *Bounded[K, V]) Get(k K) (V, bool) {
 		b.counters.Hit()
 		return e.val, true
 	}
+	b.seen[k] = struct{}{}
 	b.mu.Unlock()
 	b.counters.Miss()
 	var zero V

@@ -87,9 +87,9 @@ func (c *Cache[K, V]) GetOrCompute(k K, compute func() V) V {
 
 // PutIfAbsent stores v under k only if no value is resident, and returns
 // the resident value either way. Losers of a miss race therefore adopt the
-// winner's value instead of overwriting it — the property downstream
-// identity caches need when the cached value's *pointer* is itself a cache
-// key (one canonical value per logical key, regardless of -j).
+// winner's value instead of overwriting it, so a caller can tell whether
+// its own value was published (one canonical value per logical key,
+// regardless of -j).
 func (c *Cache[K, V]) PutIfAbsent(k K, v V) V {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -100,31 +100,6 @@ func (c *Cache[K, V]) PutIfAbsent(k K, v V) V {
 	s.m[k] = v
 	s.mu.Unlock()
 	return v
-}
-
-// GetOrComputeShared is GetOrCompute with canonical results: under a miss
-// race both workers compute, but PutIfAbsent makes them converge on a
-// single resident value, so callers that key further caches by the
-// returned value (e.g. by a *schedule.Program pointer) see exactly one
-// representative per logical key at any parallelism.
-func (c *Cache[K, V]) GetOrComputeShared(k K, compute func() V) V {
-	if v, ok := c.Get(k); ok {
-		return v
-	}
-	return c.PutIfAbsent(k, compute())
-}
-
-// Range calls f for every cached key in unspecified order (diagnostics
-// and determinism tests only; holds each shard's read lock during f).
-func (c *Cache[K, V]) Range(f func(K)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k := range s.m {
-			f(k)
-		}
-		s.mu.RUnlock()
-	}
 }
 
 // Len returns the number of cached entries.

@@ -317,17 +317,6 @@ func (b *Basis) op(s Step) CompiledOp {
 	panic("schedule: a " + layout + " basis holds no " + s.Kind.String() + " ops")
 }
 
-// appendWalk appends the ops of walk w, computed from the basis, to code.
-func (b *Basis) appendWalk(code []CompiledOp, w Walk) []CompiledOp {
-	var it walkIter
-	var s Step
-	it.init(&w, b.grid)
-	for it.next(&s) {
-		code = append(code, b.op(s))
-	}
-	return code
-}
-
 // Gather names one kernel of a gathered program: walk W over basis B.
 type Gather struct {
 	Name string
@@ -335,40 +324,67 @@ type Gather struct {
 	W    Walk
 }
 
+// Len returns the number of ops the kernel issues.
+func (k Gather) Len() int { return k.W.Len(k.B.grid) }
+
+// Table returns the kernel's symbol space: its basis' tile table.
+func (k Gather) Table() TileTable { return k.B.table }
+
 // GatherProgram assembles a retained program with one kernel per Gather.
 // All kernels' bases must come from one NewBases call (or be one basis).
 func GatherProgram(kernels ...Gather) *Program {
-	prog := &Program{}
-	GatherInto(prog, kernels...)
+	n := 0
+	for _, k := range kernels {
+		n += k.Len()
+	}
+	prog := &Program{Code: make([]CompiledOp, n), Kernels: make([]Kernel, len(kernels))}
+	var s Stream
+	start := 0
+	for i, k := range kernels {
+		CheckSameTable(kernels[0].Table(), k.Table())
+		s.Start(k)
+		end := start + s.Next(prog.Code[start:start+k.Len()])
+		prog.Kernels[i] = Kernel{Name: k.Name, Start: start, End: end}
+		start = end
+	}
+	if len(kernels) > 0 {
+		prog.Table = kernels[0].Table()
+	}
 	return prog
 }
 
-// GatherInto is GatherProgram into prog, reusing its code and kernel
-// storage — for transient candidate programs priced one after another.
-func GatherInto(prog *Program, kernels ...Gather) {
-	n := 0
-	for _, k := range kernels {
-		n += k.W.Len(k.B.grid)
-	}
-	if cap(prog.Code) < n {
-		prog.Code = make([]CompiledOp, 0, n)
-	}
-	prog.Code = prog.Code[:0]
-	prog.Kernels = prog.Kernels[:0]
-	for _, k := range kernels {
-		if !SameTable(k.B.table, kernels[0].B.table) {
-			panic("schedule: gathered kernels span bases of different symbol spaces")
-		}
-		start := len(prog.Code)
-		prog.Code = k.B.appendWalk(prog.Code, k.W)
-		prog.Kernels = append(prog.Kernels, Kernel{Name: k.Name, Start: start, End: len(prog.Code)})
-	}
-	if len(kernels) > 0 {
-		prog.Table = kernels[0].B.table
+// CheckSameTable panics unless a and b are one symbol space.
+func CheckSameTable(a, b TileTable) {
+	if len(a.Keys) != len(b.Keys) || (len(a.Keys) > 0 && &a.Keys[0] != &b.Keys[0]) {
+		panic("schedule: kernels span different symbol spaces")
 	}
 }
 
-// SameTable reports whether two tables are one symbol space.
-func SameTable(a, b TileTable) bool {
-	return len(a.Keys) == len(b.Keys) && (len(a.Keys) == 0 || &a.Keys[0] == &b.Keys[0])
+// Stream pulls one kernel's ops in batches: the ops GatherProgram gathers
+// for it, with no program built. A started stream points into itself, so
+// start it in place and do not copy it.
+type Stream struct {
+	b  *Basis
+	w  Walk
+	it walkIter
+}
+
+// Start begins streaming kernel k.
+func (s *Stream) Start(k Gather) {
+	s.b, s.w = k.B, k.W
+	s.it.init(&s.w, k.B.grid)
+}
+
+// Next fills buf with the stream's next ops and returns how many it wrote:
+// fewer than len(buf) only at the end, 0 once the stream is done.
+//
+//lint:hotpath
+func (s *Stream) Next(buf []CompiledOp) int {
+	var st Step
+	n := 0
+	for n < len(buf) && s.it.next(&st) {
+		buf[n] = s.b.op(st)
+		n++
+	}
+	return n
 }

@@ -198,17 +198,6 @@ func (c *Compiler) NumTiles() int { return len(c.keys) }
 // take it after the last Compile*/Intern call.
 func (c *Compiler) Table() TileTable { return TileTable{Keys: c.keys} }
 
-// DetachTable returns the symbol table and transfers ownership of the key
-// storage to the caller: the compiler forgets its keys, so a pooled
-// compiler can hand a retained program its table without aliasing. The
-// probe table still references the detached keys until the next Reset,
-// which every pooled reuse performs first.
-func (c *Compiler) DetachTable() TileTable {
-	t := TileTable{Keys: c.keys}
-	c.keys = nil
-	return t
-}
-
 // Lower compiles a single op.
 func (c *Compiler) Lower(op *Op) CompiledOp {
 	co := CompiledOp{
@@ -252,19 +241,14 @@ func (c *Compiler) CompileOps(ops []Op) []CompiledOp {
 	return code
 }
 
-// Compile lowers a schedule sequence into one program. Each schedule
-// becomes a kernel (flushed boundary); tile IDs are shared across kernels
-// so cross-kernel aliasing matches key-based residency.
-func Compile(scheds ...Schedule) Program {
-	c := NewCompiler()
-	var n int
-	for _, s := range scheds {
-		n += len(s.Ops)
-	}
-	prog := Program{
-		Code:    make([]CompiledOp, 0, n),
-		Kernels: make([]Kernel, 0, len(scheds)),
-	}
+// CompileInto resets c and lowers a schedule sequence into prog, reusing
+// prog's code and kernel storage. Each schedule becomes a kernel (flushed
+// boundary); tile IDs are shared across kernels so cross-kernel aliasing
+// matches key-based residency. prog's table is c's, valid until c's next
+// use.
+func (c *Compiler) CompileInto(prog *Program, scheds ...Schedule) {
+	c.Reset()
+	prog.Code, prog.Kernels = prog.Code[:0], prog.Kernels[:0]
 	for _, s := range scheds {
 		start := len(prog.Code)
 		for i := range s.Ops {
@@ -273,5 +257,11 @@ func Compile(scheds ...Schedule) Program {
 		prog.Kernels = append(prog.Kernels, Kernel{Name: s.Name, Start: start, End: len(prog.Code)})
 	}
 	prog.Table = c.Table()
+}
+
+// Compile lowers a schedule sequence into one self-contained program.
+func Compile(scheds ...Schedule) Program {
+	var prog Program
+	NewCompiler().CompileInto(&prog, scheds...)
 	return prog
 }

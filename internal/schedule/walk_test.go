@@ -127,6 +127,33 @@ func TestGatherMatchesCompile(t *testing.T) {
 	checkSameUpToRenaming(t, got, Compile(p.Schedule("dx", dx), p.Schedule("dw", dw)))
 }
 
+// TestStreamMatchesGather checks a stream yields exactly the ops
+// GatherProgram gathers, in order, at batch sizes that divide the walk,
+// leave a remainder, and exceed it, and that a stream can be restarted.
+func TestStreamMatchesGather(t *testing.T) {
+	p := testParams(tensor.Dims{M: 33, K: 22, N: 11}, Tiling{Tm: 7, Tk: 6, Tn: 4})
+	p.XFactor = 0.3
+	k := Gather{B: NewBasis(p), W: Merge(BaselineDXWalk(DXOrderMK), PartialStationaryDWWalk(2), 5)}
+	want := GatherProgram(k).Code
+	var s Stream
+	for _, size := range []int{1, 3, len(want), len(want) + 7} {
+		for round := 0; round < 2; round++ {
+			var got []CompiledOp
+			buf := make([]CompiledOp, size)
+			s.Start(k)
+			for n := s.Next(buf); n > 0; n = s.Next(buf) {
+				if n < size && len(got)+n != len(want) {
+					t.Fatalf("batch %d: a short batch of %d before the end", size, n)
+				}
+				got = append(got, buf[:n]...)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d round %d: streamed %d ops differ from the %d gathered", size, round, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestForwardGatherMatchesCompile checks the forward basis the same way,
 // and that its table holds exactly the forward pass's X, W and Y tiles.
 func TestForwardGatherMatchesCompile(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 
 	"igosim/internal/core"
 	"igosim/internal/runner"
+	"igosim/internal/sim"
 	"igosim/internal/stats"
 )
 
@@ -217,6 +218,9 @@ func TestResetCachesClearsServerState(t *testing.T) {
 	if core.LayerMemoStats().Entries <= 0 {
 		t.Fatal("layer memo stayed empty after a simulation")
 	}
+	if sim.ResolvedCacheStats().Entries <= 0 {
+		t.Fatal("resolved-trace cache stayed empty after a simulation")
+	}
 
 	s.ResetCaches()
 	if s.cache.Len() != 0 {
@@ -225,8 +229,8 @@ func TestResetCachesClearsServerState(t *testing.T) {
 	if n := core.LayerMemoStats().Entries; n != 0 {
 		t.Errorf("layer memo holds %d entries after ResetCaches", n)
 	}
-	if n := core.ProgramCacheLen(); n != 0 {
-		t.Errorf("program cache holds %d entries after ResetCaches", n)
+	if n := sim.ResolvedCacheStats().Entries; n != 0 {
+		t.Errorf("resolved-trace cache census holds %d descriptors after ResetCaches", n)
 	}
 
 	_, again, st3 := post(t, ts.Client(), ts.URL+"/simulate", req)

@@ -15,8 +15,8 @@ import (
 
 // Server wires the simulation API onto an http.ServeMux. One Server owns
 // one result cache and one admission limiter; cmd/igoserved runs exactly
-// one per process so every client shares the compiled-program and
-// layer-memo caches underneath.
+// one per process so every client shares the layer-memo, tuner and
+// resolved-trace caches underneath.
 type Server struct {
 	opts    Options
 	cache   *resultCache
@@ -127,7 +127,7 @@ func (s *Server) isDraining() bool {
 
 // ResetCaches empties every cache the server can reach: its own result
 // cache (and doorkeeper memory), plus the simulator's layer memo,
-// schedule-tuning and compiled-program caches via core.ResetCaches.
+// schedule-tuning and resolved-trace caches via core.ResetCaches.
 func (s *Server) ResetCaches() {
 	s.cache.Reset()
 	core.ResetCaches()

@@ -19,10 +19,11 @@ import (
 // to bit-exact agreement on every counter, and the trace goldens under
 // testdata pin its event sequence byte for byte.
 
-// CompiledEngine executes compiled programs on one NPU core; it is the
-// engine behind RunSchedules and RunProgram. Reuse pattern: Init (per
-// configuration) -> Bind (per program) -> Execute; Result reads the
-// accumulated outcome.
+// CompiledEngine executes compiled ops on one NPU core; it is the engine
+// behind RunSchedules, RunProgram and the streamed runs (RunKernels,
+// RunDesc). Reuse pattern: Init (per configuration) -> RunProgram (per
+// program), or Init -> runKernels for ops streamed from a basis; Result
+// reads the accumulated outcome.
 type CompiledEngine struct {
 	cfg  config.NPU
 	arr  systolic.Array
@@ -33,18 +34,23 @@ type CompiledEngine struct {
 	resv      spm.Residency
 	liveBytes []int64 // active partial-sum bytes per tile ID (0 = not live)
 	keys      []schedule.TileKey
-	comp      []int64 // per-op systolic cycles, precomputed at Bind
 	prog      *schedule.Program
 
 	freeDY bool
 
+	// tm/tk/tn/tileCycles are a last-value cache over the systolic cost:
+	// tile dimensions repeat massively (only edge tiles differ), so step
+	// calls TileCycles (and, when recording, looks the dimensions up in
+	// the trace's table) only when they change.
+	tm, tk, tn int32
+	tileCycles int64
+
 	// Trace recording (resolved.go): when rec is non-nil, step captures
-	// each op's resolved transfer totals and tile-dimension index. recTm/
-	// recTk/recTn/recDim are a last-value cache over the dimension table.
-	rec                 *ResolvedTrace
-	recOK               bool
-	recTm, recTk, recTn int32
-	recDim              uint16
+	// each op's resolved transfer totals and recDim, the index of its tile
+	// dimensions in the trace's table.
+	rec    *ResolvedTrace
+	recOK  bool
+	recDim uint16
 
 	memDone     int64
 	compDone    int64
@@ -89,20 +95,17 @@ func (e *CompiledEngine) Init(cfg config.NPU, opts Options) {
 	}
 	e.prog = nil
 	e.keys = nil
+	e.tm, e.tk, e.tn, e.tileCycles = -1, -1, -1, 0
 	e.rec, e.recOK = nil, false
-	e.recTm, e.recTk, e.recTn = -1, -1, -1
 	e.recDim = 0
 	e.resv.Stats = spm.Stats{}
 	e.memDone, e.compDone, e.prevCompEnd = 0, 0, 0
 	e.res = Result{}
 }
 
-// Bind attaches a compiled program: residency arrays are sized to its tile
-// table and the systolic cost of every op is computed once. Run state
-// (residency, pipeline, counters) is preserved, so Bind only follows Init
-// or Reset on a fresh measurement.
-func (e *CompiledEngine) Bind(prog *schedule.Program) {
-	n := prog.Table.Len()
+// bindTable sizes the residency arrays to one symbol space.
+func (e *CompiledEngine) bindTable(t schedule.TileTable) {
+	n := t.Len()
 	e.resv.Resize(n)
 	if cap(e.liveBytes) >= n {
 		e.liveBytes = e.liveBytes[:n]
@@ -110,26 +113,7 @@ func (e *CompiledEngine) Bind(prog *schedule.Program) {
 		e.liveBytes = make([]int64, n)
 	}
 	clear(e.liveBytes)
-	e.keys = prog.Table.Keys
-	e.prog = prog
-
-	if cap(e.comp) >= len(prog.Code) {
-		e.comp = e.comp[:len(prog.Code)]
-	} else {
-		e.comp = make([]int64, len(prog.Code))
-	}
-	// Tile dimensions repeat massively (only edge tiles differ), so a
-	// last-value cache removes nearly every TileCycles call.
-	lm, lk, ln := int32(-1), int32(-1), int32(-1)
-	var lc int64
-	for i := range prog.Code {
-		op := &prog.Code[i]
-		if op.Tm != lm || op.Tk != lk || op.Tn != ln {
-			lm, lk, ln = op.Tm, op.Tk, op.Tn
-			lc = e.arr.TileCycles(int(lm), int(lk), int(ln))
-		}
-		e.comp[i] = lc
-	}
+	e.keys = t.Keys
 }
 
 // Reset clears scratchpad contents, pipeline state and accumulated results,
@@ -159,24 +143,56 @@ func (e *CompiledEngine) flushSPM() {
 func (e *CompiledEngine) Execute() {
 	prog := e.prog
 	if prog == nil {
-		panic("sim: Execute before Bind")
+		panic("sim: Execute before RunProgram")
 	}
-	for ki := range prog.Kernels {
-		k := &prog.Kernels[ki]
+	for ki, k := range prog.Kernels {
 		if ki > 0 {
 			e.flushSPM()
 		}
 		start := e.compDone
-		for i := k.Start; i < k.End; i++ {
-			e.step(&prog.Code[i], e.comp[i])
-		}
+		e.runOps(prog.Code[k.Start:k.End])
 		e.tr.Phase(k.Name, start, e.compDone)
 	}
 }
 
-// RunProgram is Bind + Execute.
+// runKernels streams kernels ks — one symbol space — through the engine
+// exactly as Execute runs the program GatherProgram would gather from
+// them: each kernel's ops are computed from its basis into batch and
+// stepped batch by batch, so no program is built. s is the caller's
+// (pooled) stream state.
+func (e *CompiledEngine) runKernels(ks []schedule.Gather, s *schedule.Stream, batch []schedule.CompiledOp) {
+	if len(ks) == 0 {
+		return
+	}
+	e.bindTable(ks[0].Table())
+	for ki, k := range ks {
+		schedule.CheckSameTable(ks[0].Table(), k.Table())
+		if ki > 0 {
+			e.flushSPM()
+		}
+		start := e.compDone
+		s.Start(k)
+		for n := s.Next(batch); n > 0; n = s.Next(batch) {
+			e.runOps(batch[:n])
+		}
+		e.tr.Phase(k.Name, start, e.compDone)
+	}
+	*s = schedule.Stream{} // don't retain the basis
+}
+
+// runOps steps through one slice of ops.
+func (e *CompiledEngine) runOps(code []schedule.CompiledOp) {
+	for i := range code {
+		e.step(&code[i])
+	}
+}
+
+// RunProgram binds prog — the residency arrays sized to its tile table,
+// run state (residency, pipeline, counters) kept, so it follows Init or
+// Reset on a fresh measurement — and executes it.
 func (e *CompiledEngine) RunProgram(prog *schedule.Program) {
-	e.Bind(prog)
+	e.bindTable(prog.Table)
+	e.prog = prog
 	e.Execute()
 }
 
@@ -194,7 +210,15 @@ func (e *CompiledEngine) Result() Result {
 // pressure; the transfer timing itself depends only on the totals.
 //
 //lint:hotpath
-func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
+func (e *CompiledEngine) step(op *schedule.CompiledOp) {
+	if op.Tm != e.tm || op.Tk != e.tk || op.Tn != e.tn {
+		e.tm, e.tk, e.tn = op.Tm, op.Tk, op.Tn
+		e.tileCycles = e.arr.TileCycles(int(op.Tm), int(op.Tk), int(op.Tn))
+		if e.rec != nil {
+			e.recordDim()
+		}
+	}
+	compCycles := e.tileCycles
 	var fetchBytes, writeBytes, spillBytes int64
 	var bursts, spillBursts int
 
@@ -256,7 +280,7 @@ func (e *CompiledEngine) step(op *schedule.CompiledOp, compCycles int64) {
 	memCycles := e.chn.TransferCycles(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
 
 	if e.rec != nil {
-		e.record(op, fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
+		e.record(fetchBytes+writeBytes+spillBytes, bursts+spillBursts)
 	}
 
 	// Double-buffered pipeline: the DMA may run at most one op ahead of the
@@ -307,40 +331,61 @@ func (e *CompiledEngine) insert(id schedule.TileID, bytes int64, spillBytes *int
 	}
 }
 
-// compiledRunner bundles the per-call state of RunSchedules — engine,
-// compiler and program buffers — so a pooled runner executes a steady
-// stream of calls with no per-call allocations: the interning table, code
-// buffer, residency arrays and cost table all grow to the largest program
-// a worker sees and are then reused.
+// compiledRunner bundles the per-call state of the single-core entry
+// points so a pooled runner executes a steady stream of calls with no
+// per-call allocations: its buffers grow to the largest program a worker
+// sees and are then reused.
 type compiledRunner struct {
-	eng     CompiledEngine
-	comp    *schedule.Compiler
-	code    []schedule.CompiledOp
-	kernels []schedule.Kernel
+	eng    CompiledEngine
+	comp   *schedule.Compiler
+	prog   schedule.Program // RunSchedules' lowered program
+	stream schedule.Stream
+	batch  [streamBatch]schedule.CompiledOp
 }
+
+// streamBatch is how many ops a streamed run computes from its basis
+// before stepping them (16 KiB, small enough to stay in cache).
+const streamBatch = 256
 
 var compiledPool = runner.NewPool(func() *compiledRunner {
 	return &compiledRunner{comp: schedule.NewCompiler()}
 })
 
-// run lowers scheds into the reusable buffers, executes them, and leaves no
-// dangling references in the pooled state.
-func (cr *compiledRunner) run(cfg config.NPU, opts Options, scheds []schedule.Schedule) Result {
-	cr.comp.Reset()
-	cr.code = cr.code[:0]
-	cr.kernels = cr.kernels[:0]
-	for _, s := range scheds {
-		start := len(cr.code)
-		for i := range s.Ops {
-			cr.code = append(cr.code, cr.comp.Lower(&s.Ops[i]))
-		}
-		cr.kernels = append(cr.kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(cr.code)})
-	}
-	prog := schedule.Program{Code: cr.code, Kernels: cr.kernels, Table: cr.comp.Table()}
+// pass runs one single-core pass — prog when it is non-nil, else kernels
+// ks streamed from their bases — and counts it. With record set it also
+// returns the pass's resolved trace (nil when the pass does not fit the
+// compact encoding). The runner keeps no reference to the program, the
+// bases, the trace or the trace sink.
+func (cr *compiledRunner) pass(cfg config.NPU, opts Options, prog *schedule.Program, ks []schedule.Gather, record bool) (Result, *ResolvedTrace) {
 	e := &cr.eng
 	e.Init(cfg, opts)
-	e.RunProgram(&prog)
-	r := e.Result()
-	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view or sink
-	return r
+	if record {
+		n := 0
+		if prog != nil {
+			n = prog.Ops()
+		}
+		for _, k := range ks {
+			n += k.Len()
+		}
+		if n <= maxResolvedOps {
+			e.rec, e.recOK = &ResolvedTrace{ops: make([]resolvedOp, 0, n)}, true
+		}
+	}
+	if prog != nil {
+		e.RunProgram(prog)
+	} else {
+		e.runKernels(ks, &cr.stream, cr.batch[:])
+	}
+	res := e.Result()
+	var rt *ResolvedTrace
+	if e.rec != nil && e.recOK {
+		rt = e.rec
+		rt.agg = res
+		// The cycle fields are cost-point-dependent; replay recomputes them.
+		rt.agg.Cycles, rt.agg.ComputeCycles, rt.agg.MemCycles = 0, 0, 0
+	}
+	e.rec, e.recOK = nil, false
+	e.prog, e.keys, e.tr = nil, nil, nil
+	countPass(res)
+	return res, rt
 }

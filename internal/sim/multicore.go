@@ -116,9 +116,7 @@ func RunMultiProgram(cfg config.NPU, opts Options, cores []*schedule.Program, sh
 		phases[pi] = make([][]schedule.CompiledOp, len(cores))
 	}
 	for ci, prog := range cores {
-		if !schedule.SameTable(prog.Table, cores[0].Table) {
-			panic("sim: core programs span different symbol spaces")
-		}
+		schedule.CheckSameTable(cores[0].Table, prog.Table)
 		if len(prog.Kernels) != len(phases) {
 			panic("sim: core programs differ in kernel count")
 		}

@@ -2,96 +2,87 @@ package sim
 
 import (
 	"igosim/internal/config"
-	"igosim/internal/runner"
 	"igosim/internal/schedule"
 )
 
-// Retained compiled programs (DESIGN.md §3k). The pooled compiled path
-// (compiled.go) rebuilds its program from the schedule on every call and
-// deliberately keeps no reference to it — the right trade for one-shot
-// experiment grids. Long-running callers (the serving layer's shared
-// program cache) instead need to pay schedule emission and interning once
-// and replay the artifact many times, possibly under different DRAM/clock
-// timings: CompileSchedules produces a self-contained Program safe to
-// retain and share across goroutines, and RunProgram executes one against
-// a pooled engine exactly as RunSchedules would have.
+// Programs, streams and descriptors (DESIGN.md §3k). CompileSchedules
+// produces a self-contained Program safe to retain and share. The
+// simulator's own programs are never retained: each is a Desc, a
+// comparable value that rebuilds the program's kernels from compiled op
+// bases on demand, and RunDesc streams them through the engine, keying the
+// program's resolved trace on the descriptor.
 
 // CompileSchedules lowers the given kernels into a retained, immutable
-// compiled program. Unlike the internal pooled path, the returned Program
-// owns its code, kernel and tile-table storage: callers may cache it
-// indefinitely and execute it concurrently from many goroutines (execution
-// state lives in the engine, never in the program).
+// compiled program. The returned Program owns its code, kernel and
+// tile-table storage: callers may cache it indefinitely and execute it
+// concurrently from many goroutines (execution state lives in the engine,
+// never in the program).
 func CompileSchedules(scheds ...schedule.Schedule) *schedule.Program {
-	comp := retainedCompilers.Get()
-	comp.Reset()
-	var n int
-	for _, s := range scheds {
-		n += len(s.Ops)
-	}
-	code := make([]schedule.CompiledOp, 0, n)
-	kernels := make([]schedule.Kernel, 0, len(scheds))
-	for _, s := range scheds {
-		start := len(code)
-		for i := range s.Ops {
-			code = append(code, comp.Lower(&s.Ops[i]))
-		}
-		kernels = append(kernels, schedule.Kernel{Name: s.Name, Start: start, End: len(code)})
-	}
-	prog := &schedule.Program{Code: code, Kernels: kernels, Table: comp.DetachTable()}
-	retainedCompilers.Put(comp)
-	return prog
+	prog := schedule.Compile(scheds...)
+	return &prog
 }
 
-// retainedCompilers pools the compilers behind CompileSchedules: the probe
-// table (grown once to the largest program seen) is reused across the
-// thousands of candidate-program compilations a tuning sweep performs,
-// while each program's code and detached key storage remain owned by the
-// retained program.
-var retainedCompilers = runner.NewPool(schedule.NewCompiler)
+// RunProgram executes a compiled program on a fresh single-core engine,
+// flushing the scratchpad at each kernel boundary — the compiled twin of
+// RunSchedules for a program built once with CompileSchedules or gathered
+// with schedule.GatherProgram. The program is read-only here; concurrent
+// RunProgram calls on the same program are safe.
+func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
+	res, _ := pass(cfg, opts, prog, nil, false)
+	return res
+}
 
-// RunProgram executes a retained compiled program on a fresh single-core
-// engine, flushing the scratchpad at each kernel boundary — the compiled
-// twin of RunSchedules for a program built once with CompileSchedules. The
-// program is read-only here; concurrent RunProgram calls on the same
-// program are safe.
+// RunKernels runs kernels ks — one symbol space, kernel i after kernel i-1
+// with the scratchpad flushed between them — on a fresh single-core
+// engine, computing each op from its basis as it goes: the Result of
+// RunProgram on schedule.GatherProgram(ks...), with no program built.
+func RunKernels(cfg config.NPU, opts Options, ks ...schedule.Gather) Result {
+	res, _ := pass(cfg, opts, nil, ks, false)
+	return res
+}
+
+// A Desc describes one program by content, so the program itself need
+// never be retained. Its dynamic type must be comparable, and two equal
+// descriptors must describe the same program up to a renaming of its
+// tiles: RunDesc keys the program's resolved trace on the descriptor.
+type Desc interface {
+	// Ops returns the program's op count without building it.
+	Ops() int
+	// Kernels builds the program's bases — transiently — and returns its
+	// kernels, all over one symbol space.
+	Kernels() []schedule.Gather
+}
+
+// RunDesc runs the program d describes on a fresh single-core engine.
 //
 // Untraced calls go through two-phase execution (resolved.go): the first
-// call for a (program, SPM capacity, free-dY) key resolves the residency
-// trace, later calls replay it under whatever cost axes cfg carries —
-// bit-identical to the engine, held by the replay-equivalence proptest and
-// the replay-check gate. Traced calls and disabled caches (capacity 0)
-// take the one-shot engine path.
-func RunProgram(cfg config.NPU, opts Options, prog *schedule.Program) Result {
-	if opts.Trace == nil && resolvedCache.Cap() > 0 && len(prog.Code) <= maxCachedResolvedOps {
-		key := resolvedKey{prog: prog, capacity: cfg.SPMBytes / 2, freeDY: opts.FreeDYOnDW}
+// call for a (descriptor, SPM capacity, free-dY) key streams d's kernels
+// through the engine once, resolving the residency trace; later calls
+// replay it under whatever cost axes cfg carries — bit-identical to the
+// engine, held by the replay-equivalence proptest and the replay-check
+// gate. Traced calls, disabled caches (capacity 0) and programs above the
+// admission bound stream d's kernels once; a traced run labels its events
+// with the tile keys of d's bases.
+func RunDesc(cfg config.NPU, opts Options, d Desc) Result {
+	if opts.Trace == nil && resolvedCache.Cap() > 0 && d.Ops() <= maxCachedResolvedOps {
+		key := resolvedKey{desc: d, capacity: cfg.SPMBytes / 2, freeDY: opts.FreeDYOnDW}
 		if rt, ok := resolvedCache.Get(key); ok {
-			res := rt.Replay(cfg)
-			resolvedPhases.Replay()
-			countPass(res)
-			return res
+			return ReplayRetained(cfg, rt)
 		}
-		res, rt := ResolveProgram(cfg, opts, prog)
+		res, rt := pass(cfg, opts, nil, d.Kernels(), true)
 		resolvedPhases.Resolution()
 		if rt != nil {
 			resolvedCache.Put(key, rt)
 		}
 		return res
 	}
-	return RunProgramOnce(cfg, opts, prog)
+	return RunKernels(cfg, opts, d.Kernels()...)
 }
 
-// RunProgramOnce executes prog on a pooled engine without consulting or
-// filling the resolved-trace cache: the path for transient programs (a
-// tuner's candidates that have no panel trace, gathered into one reused
-// buffer), whose pointer must never key a retained trace.
-func RunProgramOnce(cfg config.NPU, opts Options, prog *schedule.Program) Result {
+// pass runs one single-core pass on a pooled engine (see
+// compiledRunner.pass).
+func pass(cfg config.NPU, opts Options, prog *schedule.Program, ks []schedule.Gather, record bool) (Result, *ResolvedTrace) {
 	cr := compiledPool.Get()
-	e := &cr.eng
-	e.Init(cfg, opts)
-	e.RunProgram(prog)
-	res := e.Result()
-	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view or sink
-	compiledPool.Put(cr)
-	countPass(res)
-	return res
+	defer compiledPool.Put(cr)
+	return cr.pass(cfg, opts, prog, ks, record)
 }

@@ -16,13 +16,14 @@ import (
 // compiled program is a deterministic function of only (program, SPM
 // residency capacity, free-dY option): DRAM bandwidth, burst latency,
 // frequency and the systolic timing axes merely re-price the same access
-// trace. ResolveProgram runs the full residency/LRU machinery once and
+// trace. Resolution runs the full residency/LRU machinery once and
 // flattens the outcome into a ResolvedTrace — per-op transfer totals plus
 // a tile-dimension index — and Replay turns that trace plus any cost
 // point into the exact Result the engine would have produced, with no
-// maps, no LRU and no residency branching. RunProgram threads a bounded,
-// admission-controlled trace cache between the two so bandwidth/frequency
-// sweeps resolve once and replay thousands of times.
+// maps, no LRU and no residency branching. RunDesc threads a bounded,
+// admission-controlled trace cache, keyed on program descriptors, between
+// the two so bandwidth/frequency sweeps resolve once and replay thousands
+// of times.
 
 // resolvedOp is one op's residency-resolved cost coefficients: the total
 // bytes the DMA stage moves for it (fetches + final write + pressure
@@ -96,8 +97,8 @@ func (t *ResolvedTrace) Replay(cfg config.NPU) Result {
 		sc.dimCycles = make([]int64, len(t.dims))
 	}
 	for i, d := range t.dims {
-		// Same function, same arguments as the engine's Bind-time cost
-		// table, so the per-op compute cycles match bit-for-bit.
+		// Same function, same arguments as the engine's last-value cost
+		// cache, so the per-op compute cycles match bit-for-bit.
 		sc.dimCycles[i] = arr.TileCycles(int(d.tm), int(d.tk), int(d.tn))
 	}
 	cycles, compSum, memSum := replayOps(t.ops, sc.dimCycles, chn, replaySkew.Load())
@@ -136,17 +137,17 @@ func replayOps(ops []resolvedOp, dimCycles []int64, chn dram.Channel, skew int64
 	return compDone, compSum, memSum
 }
 
-// maxResolvedOps bounds the per-trace memory (8 B/op) a cached resolution
-// may pin; larger programs stay on the engine path.
+// maxResolvedOps bounds the per-trace memory (8 B/op) a resolution may
+// record; larger programs resolve to a nil trace.
 const maxResolvedOps = 1 << 20
 
-// maxCachedResolvedOps bounds the program size RunProgram admits to the
+// maxCachedResolvedOps bounds the program size RunDesc admits to the
 // residency cache. The entry cap bounds trace count, not bytes: a grid of
 // tiny-SPM configurations (the GPU validation study) produces op streams a
 // hundred thousand ops long, and pinning hundreds of megabyte-scale traces
 // grows the heap far faster than replays repay — each such program runs
-// once per layer memo anyway. Oversized programs take the one-shot engine
-// path, which is bit-identical (PropResolvedReplayEquivalence).
+// once per layer memo anyway. Oversized programs stream through the
+// one-shot engine, which is bit-identical (PropResolvedReplayEquivalence).
 const maxCachedResolvedOps = 1 << 15
 
 // ResolveProgram executes prog on a fresh single-core compiled engine
@@ -160,46 +161,28 @@ func ResolveProgram(cfg config.NPU, opts Options, prog *schedule.Program) (Resul
 	if opts.Trace != nil {
 		panic("sim: ResolveProgram with tracing enabled")
 	}
-	cr := compiledPool.Get()
-	e := &cr.eng
-	e.Init(cfg, opts)
-	e.rec = &ResolvedTrace{ops: make([]resolvedOp, 0, len(prog.Code))}
-	e.recOK = len(prog.Code) <= maxResolvedOps
-	e.RunProgram(prog)
-	res := e.Result()
-	var rt *ResolvedTrace
-	if e.recOK {
-		rt = e.rec
-		rt.agg = res
-		// The cycle fields are cost-point-dependent; replay recomputes them.
-		rt.agg.Cycles, rt.agg.ComputeCycles, rt.agg.MemCycles = 0, 0, 0
-	}
-	e.rec, e.recOK = nil, false
-	e.prog, e.keys, e.tr = nil, nil, nil // don't retain the program view
-	compiledPool.Put(cr)
-	countPass(res)
-	return res, rt
+	return pass(cfg, opts, prog, nil, true)
 }
 
 // Caller-retained traces. The core tuner panels keep each candidate's
 // trace themselves, under a key (canonical shape, SPM size, element size)
-// that already fixes the residency capacity, rather than caching a
-// retained program here by pointer. ResolveRetained and ReplayRetained
-// count their work in the same phase split as RunProgram's misses and
-// hits, and NoteRetained adds published traces to the distinct census, so
-// the resolution/replay accounting does not depend on where a trace lives.
+// that already fixes the residency capacity. ResolveRetained and
+// ReplayRetained count their work in the same phase split as RunDesc's
+// misses and hits, and NoteRetained adds published traces to the distinct
+// census, so the resolution/replay accounting does not depend on where a
+// trace lives.
 
-// ResolveRetained resolves prog under cfg with no study options for a
-// caller that retains the trace itself, counting one resolution phase.
-// prog may be a reused buffer: the trace keeps no reference to it.
-func ResolveRetained(cfg config.NPU, prog *schedule.Program) (Result, *ResolvedTrace) {
-	res, rt := ResolveProgram(cfg, Options{}, prog)
+// ResolveRetained resolves kernels ks, streamed from their bases, under
+// cfg with no study options for a caller that retains the trace itself,
+// counting one resolution phase.
+func ResolveRetained(cfg config.NPU, ks ...schedule.Gather) (Result, *ResolvedTrace) {
+	res, rt := pass(cfg, Options{}, nil, ks, true)
 	resolvedPhases.Resolution()
 	return res, rt
 }
 
 // ReplayRetained replays a caller-retained trace under cfg, counting one
-// replay phase and one engine pass, exactly as a RunProgram cache hit does.
+// replay phase and one engine pass, exactly as a RunDesc cache hit does.
 func ReplayRetained(cfg config.NPU, rt *ResolvedTrace) Result {
 	res := rt.Replay(cfg)
 	resolvedPhases.Replay()
@@ -212,12 +195,31 @@ func ReplayRetained(cfg config.NPU, rt *ResolvedTrace) Result {
 // from the winner of a miss race, so the census is the same at any -j.
 func NoteRetained(n int) { resolvedCache.NoteDistinct(n) }
 
+// recordDim points recDim at the current tile dimensions (e.tm, e.tk,
+// e.tn) in the trace's table, adding them on first sight. Falls back
+// (recOK=false, trace discarded) when the table overflows its index.
+func (e *CompiledEngine) recordDim() {
+	t := e.rec
+	for i, d := range t.dims {
+		if d == (tileDim{tm: e.tm, tk: e.tk, tn: e.tn}) {
+			e.recDim = uint16(i)
+			return
+		}
+	}
+	if len(t.dims) >= math.MaxUint16 {
+		e.recOK = false
+		return
+	}
+	t.dims = append(t.dims, tileDim{tm: e.tm, tk: e.tk, tn: e.tn})
+	e.recDim = uint16(len(t.dims) - 1)
+}
+
 // record captures one op's resolved coefficients. Falls back (recOK=false,
 // trace discarded) when totals overflow the compact encoding; the run's
 // Result is unaffected either way.
 //
 //lint:hotpath
-func (e *CompiledEngine) record(op *schedule.CompiledOp, bytes int64, bursts int) {
+func (e *CompiledEngine) record(bytes int64, bursts int) {
 	if !e.recOK {
 		return
 	}
@@ -225,36 +227,15 @@ func (e *CompiledEngine) record(op *schedule.CompiledOp, bytes int64, bursts int
 		e.recOK = false
 		return
 	}
-	if op.Tm != e.recTm || op.Tk != e.recTk || op.Tn != e.recTn {
-		t := e.rec
-		found := -1
-		for i := range t.dims {
-			d := &t.dims[i]
-			if d.tm == op.Tm && d.tk == op.Tk && d.tn == op.Tn {
-				found = i
-				break
-			}
-		}
-		if found < 0 {
-			if len(t.dims) >= math.MaxUint16 {
-				e.recOK = false
-				return
-			}
-			t.dims = append(t.dims, tileDim{tm: op.Tm, tk: op.Tk, tn: op.Tn})
-			found = len(t.dims) - 1
-		}
-		e.recTm, e.recTk, e.recTn = op.Tm, op.Tk, op.Tn
-		e.recDim = uint16(found)
-	}
 	e.rec.ops = append(e.rec.ops, resolvedOp{bytes: uint32(bytes), bursts: uint16(bursts), dim: e.recDim})
 }
 
-// resolvedKey identifies one resolution: the retained program (canonical
-// pointer — CompileSchedules callers share programs through identity
-// caches) and the only two axes residency depends on. Everything else in
-// config.NPU is replay-safe.
+// resolvedKey identifies one resolution: the program's descriptor and the
+// only two axes residency depends on. Everything else in config.NPU is
+// replay-safe. The key holds no program, so a cached trace pins nothing
+// but itself.
 type resolvedKey struct {
-	prog     *schedule.Program
+	desc     Desc
 	capacity int64
 	freeDY   bool
 }

@@ -98,9 +98,9 @@ func splitStall(chn dram.Channel, stall, memCycles, spillBytes int64, spillBurst
 // stream of calls allocates nothing per call.
 func RunSchedules(cfg config.NPU, opts Options, scheds ...schedule.Schedule) Result {
 	cr := compiledPool.Get()
-	res := cr.run(cfg, opts, scheds)
-	compiledPool.Put(cr)
-	countPass(res)
+	defer compiledPool.Put(cr)
+	cr.comp.CompileInto(&cr.prog, scheds...)
+	res, _ := cr.pass(cfg, opts, &cr.prog, nil, false)
 	return res
 }
 
